@@ -239,14 +239,6 @@ class PhiMask:
             raise ValueError("phi must be a 2-d uint8 matrix")
 
     @cached_property
-    def token_members(self) -> tuple[np.ndarray, ...]:
-        """For each token column, the phrase rows containing it."""
-        return tuple(
-            np.flatnonzero(self.matrix[:, v]).astype(np.intp)
-            for v in range(self.matrix.shape[1])
-        )
-
-    @cached_property
     def dense(self) -> np.ndarray:
         """The mask as float64, for vectorized masking arithmetic."""
         return self.matrix.astype(float)

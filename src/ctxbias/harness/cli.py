@@ -76,7 +76,7 @@ def _cmd_decode(args) -> int:
         raise ValueError(f"list length {m} not in {sorted(corpus.lists)}")
     biasing_list = corpus.lists[m]
     phi = build_phi(biasing_list, corpus.vocabulary)
-    scorer = SyntheticScorer(utt, biasing_list, corpus.vocabulary, cfg.noise_for(cfg.seed))
+    scorer = SyntheticScorer(utt, biasing_list, corpus.vocabulary, cfg.noise_for(cfg.seed), phi)
     bundle = scorer.bundle()
     res = decode_utterance(bundle, biasing_list, phi, cfg.smoothing,
                            collect_extras=True)
@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     swp = sub.add_parser("sweep", parents=[common], help="run the full sweep")
     swp.add_argument("--workers", type=int, default=1,
-                     help="utterance-level worker processes")
+                     help="worker processes, at least 1")
     swp.set_defaults(fn=_cmd_sweep)
 
     rep = sub.add_parser("report", help="rebuild reports from cell JSONs")

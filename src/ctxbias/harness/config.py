@@ -13,7 +13,6 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from ..losses import FocalParams
 from ..purify import PurifyParams
 from ..simulate import NoiseSpec
 from ..smoothing import SmoothingParams
@@ -58,8 +57,6 @@ class ExperimentConfig:
     n_r: int = 2
     thres_list: float = 0.5
     n_top: int = 10
-    alpha: float = 0.75
-    gamma: float = 2.0
     # sweep matrix
     methods: tuple[str, ...] = KNOWN_METHODS
     n_seeds: int = 1
@@ -98,7 +95,6 @@ class ExperimentConfig:
         self.noise_for(self.seed)
         self.smoothing
         self.purify_for(self.seed)
-        self.focal
 
     def noise_for(self, sweep_seed: int) -> NoiseSpec:
         return NoiseSpec(
@@ -123,10 +119,6 @@ class ExperimentConfig:
         return SmoothingParams(omega=self.omega)
 
     @property
-    def focal(self) -> FocalParams:
-        return FocalParams(alpha=self.alpha, gamma=self.gamma)
-
-    @property
     def sweep_seeds(self) -> tuple[int, ...]:
         return tuple(range(self.seed, self.seed + self.n_seeds))
 
@@ -147,7 +139,7 @@ _SECTIONS = {
         "confusion_rate",
         "distractor_boost",
     ),
-    "decode": ("omega", "group_size", "n_r", "thres_list", "n_top", "alpha", "gamma"),
+    "decode": ("omega", "group_size", "n_r", "thres_list", "n_top"),
     "sweep": ("methods", "n_seeds", "seed", "outdir"),
 }
 

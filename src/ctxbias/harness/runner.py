@@ -1,25 +1,37 @@
 """Sweep runner: decode the corpus under every (method, list length, seed)
 cell and aggregate metrics.
 
+The unit of work is one utterance under one sweep seed. Every swept list
+is a prefix of the longest one, and the scorer's noise is counter-based,
+so one ``SyntheticScorer`` built against the longest list serves every
+list length: a cell of length m slices the scorer's first m columns. The
+scorer is built once per utterance and seed, and only when some method
+needs it; then every (list length, method) cell is decoded from it.
+``run_sweep`` checks the prefix property before anything is decoded. With
+several workers one process pool serves the whole sweep, and outcomes are
+reduced in utterance-id order, so the metrics are identical to a serial
+run. Workers are spawned, not forked: they start from a fresh import and
+get the sweep's lists, masks and config through the pool initializer.
+
 Timing covers the per-utterance decode path only: purification when the
 method asks for it, score slicing for the surviving sublist, and decoding.
 Producing the correlation scores themselves is the scorer's forward pass,
 i.e. model inference, so it stays outside the clock, as do corpus
 generation, metric computation, and I/O. With several workers the
-utterances are decoded in parallel and reduced in utterance-id order, so
-the metrics are identical to a serial run; the recorded decode time is
-then the sum of per-utterance walls rather than elapsed wall clock.
+recorded decode time is the sum of per-utterance walls rather than
+elapsed wall clock.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus import BiasingList, PhiMask, Utterance, Vocabulary, build_phi
+from ..corpus import BiasingList, PhiMask, Utterance, Vocabulary, build_phi, validate_spans
 from ..jointdecode import (
     attention_decode,
     count_phrases,
@@ -28,7 +40,7 @@ from ..jointdecode import (
 )
 from ..metrics import MetricsReport, cer, phrase_prf, retention_rate, rtf
 from ..purify import gcp, ocp, restrict_phi
-from ..simulate import NoiseSpec, SyntheticScorer, synth_backbone
+from ..simulate import SyntheticScorer, synth_backbone
 from .config import ExperimentConfig
 from .corpusgen import Corpus, generate_corpus
 
@@ -41,11 +53,10 @@ class UttOutcome:
     hyp: tuple[int, ...]
     kept: tuple[int, ...] | None  # purified list indices, None without purify
     wall_seconds: float
+    edits: tuple[int, int, int]  # substitutions, insertions, deletions of hyp
     count_bb: int
-    count_casr: int
     count_final: int
     cer_bb: float
-    cer_casr: float
     cer_final: float
 
 
@@ -64,98 +75,90 @@ class CellResult:
 
 def decode_one(
     utt: Utterance,
-    biasing_list: BiasingList,
-    phi: PhiMask,
+    lists: dict[int, BiasingList],
+    phis: dict[int, PhiMask],
     vocab: Vocabulary,
-    noise: NoiseSpec,
-    method: str,
     config: ExperimentConfig,
     sweep_seed: int,
-) -> UttOutcome:
-    smooth = config.smoothing
-    if method == "baseline":
+) -> dict[tuple[int, str], UttOutcome]:
+    """Decode one utterance under one sweep seed, for every (list length,
+    method) cell of the sweep. ``lists`` must nest: see ``run_sweep``."""
+    noise = config.noise_for(sweep_seed)
+    params = config.purify_for(sweep_seed)
+    scorer = p_bb = None
+    if any(method != "baseline" for method in config.methods):
+        longest = max(lists, key=lambda m: lists[m].size)
+        # spans that fit the shortest list fit every list
+        validate_spans(utt, lists[min(lists, key=lambda m: lists[m].size)])
+        scorer = SyntheticScorer(utt, lists[longest], vocab, noise, phis[longest])
+    if "baseline" in config.methods:
         p_bb = synth_backbone(utt, noise, vocab)
-        t0 = time.perf_counter()
-        hyp_bb = greedy_decode(p_bb)
-        wall = time.perf_counter() - t0
-        n_bb = count_phrases(hyp_bb, biasing_list)
-        cer_bb = cer(hyp_bb, utt.tokens)[0]
-        return UttOutcome(
-            uid=utt.uid,
-            hyp=hyp_bb,
-            kept=None,
-            wall_seconds=wall,
-            count_bb=n_bb,
-            count_casr=n_bb,
-            count_final=n_bb,
-            cer_bb=cer_bb,
-            cer_casr=cer_bb,
-            cer_final=cer_bb,
-        )
 
-    scorer = SyntheticScorer(utt, biasing_list, vocab, noise, phi)
-    kept = None
-    t0 = time.perf_counter()
-    if method in PURIFY_METHODS:
-        params = config.purify_for(sweep_seed)
-        pick = gcp if "gcp" in method else ocp
-        pres = pick(biasing_list, scorer, params)
-        kept = pres.kept
-        sub = biasing_list.sublist(kept)
-        sub_phi, _ = restrict_phi(phi, kept)
-        bundle = scorer.bundle(kept)
-        res = decode_utterance(bundle, sub, sub_phi, smooth)
-        count_list = biasing_list  # count against the full cell list
-    else:
-        bundle = scorer.bundle()
-        if method.startswith("attn"):
-            res = attention_decode(bundle, biasing_list, phi)
-        else:
-            res = decode_utterance(bundle, biasing_list, phi, smooth)
-        count_list = biasing_list
-    wall = time.perf_counter() - t0
+    scored: dict[tuple[int, ...], tuple[float, int, int, int]] = {}
 
-    hyp = res.hyp_final if method.endswith("_pp") else res.hyp_casr
-    return UttOutcome(
-        uid=utt.uid,
-        hyp=hyp,
-        kept=kept,
-        wall_seconds=wall,
-        count_bb=count_phrases(res.hyp_bb, count_list),
-        count_casr=count_phrases(res.hyp_casr, count_list),
-        count_final=count_phrases(res.hyp_final, count_list),
-        cer_bb=cer(res.hyp_bb, utt.tokens)[0],
-        cer_casr=cer(res.hyp_casr, utt.tokens)[0],
-        cer_final=cer(res.hyp_final, utt.tokens)[0],
-    )
+    def score(hyp):
+        # many cells decode to the same hypothesis; score each one once
+        if hyp not in scored:
+            scored[hyp] = cer(hyp, utt.tokens)
+        return scored[hyp]
 
+    outcomes = {}
+    for m, biasing_list in lists.items():
+        phi = phis[m]
+        for method in config.methods:
+            kept = None
+            t0 = time.perf_counter()
+            if method == "baseline":
+                hyp_bb = hyp_casr = hyp_final = greedy_decode(p_bb)
+            else:
+                if method in PURIFY_METHODS:
+                    pick = gcp if "gcp" in method else ocp
+                    kept = pick(biasing_list, scorer, params).kept
+                    sub_phi, _ = restrict_phi(phi, kept)
+                    res = decode_utterance(scorer.bundle(kept), biasing_list.sublist(kept),
+                                           sub_phi, config.smoothing)
+                else:
+                    bundle = scorer.bundle(np.arange(biasing_list.size))
+                    if method.startswith("attn"):
+                        res = attention_decode(bundle, biasing_list, phi)
+                    else:
+                        res = decode_utterance(bundle, biasing_list, phi, config.smoothing)
+                hyp_bb, hyp_casr, hyp_final = res.hyp_bb, res.hyp_casr, res.hyp_final
+            wall = time.perf_counter() - t0
 
-_CELL = {}
+            # post_process kept one of the two hypotheses, so the final one's
+            # numbers are the kept one's; phrases count against the cell list
+            count_bb = count_phrases(hyp_bb, biasing_list)
+            if hyp_final == hyp_bb:
+                count_final = count_bb
+            else:
+                count_final = count_phrases(hyp_final, biasing_list)
+            hyp = hyp_final if method.endswith("_pp") else hyp_casr
+            outcomes[(m, method)] = UttOutcome(
+                uid=utt.uid,
+                hyp=hyp,
+                kept=kept,
+                wall_seconds=wall,
+                edits=score(hyp)[1:],
+                count_bb=count_bb,
+                count_final=count_final,
+                cer_bb=score(hyp_bb)[0],
+                cer_final=score(hyp_final)[0],
+            )
+    return outcomes
 
 
-def _init_cell(biasing_list, phi, vocab, noise, method, config, sweep_seed):
-    _CELL.update(
-        biasing_list=biasing_list,
-        phi=phi,
-        vocab=vocab,
-        noise=noise,
-        method=method,
-        config=config,
-        sweep_seed=sweep_seed,
-    )
+_SWEEP = {}
 
 
-def _cell_worker(utt: Utterance) -> UttOutcome:
-    return decode_one(
-        utt,
-        _CELL["biasing_list"],
-        _CELL["phi"],
-        _CELL["vocab"],
-        _CELL["noise"],
-        _CELL["method"],
-        _CELL["config"],
-        _CELL["sweep_seed"],
-    )
+def _init_sweep(lists, phis, vocab, config):
+    _SWEEP.update(lists=lists, phis=phis, vocab=vocab, config=config)
+
+
+def _sweep_worker(task: tuple[Utterance, int]) -> dict[tuple[int, str], UttOutcome]:
+    utt, sweep_seed = task
+    return decode_one(utt, _SWEEP["lists"], _SWEEP["phis"], _SWEEP["vocab"],
+                      _SWEEP["config"], sweep_seed)
 
 
 def _aggregate(
@@ -177,8 +180,7 @@ def _aggregate(
     audio_seconds = 0.0
     for out in outcomes:
         utt = by_uid[out.uid]
-        _, s, i, d = cer(out.hyp, utt.tokens)
-        total_err += (s, i, d)
+        total_err += out.edits
         ref_len += utt.n_steps
         hyps.append(out.hyp)
         refs.append(utt.tokens)
@@ -224,31 +226,36 @@ def run_sweep(
     workers: int = 1,
     keep_outcomes: bool = False,
 ) -> dict[tuple[str, int, int], CellResult]:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if corpus is None:
         corpus = generate_corpus(config)
+    lists = {m: corpus.lists[m] for m in config.list_lengths}
+    longest = max(lists.values(), key=lambda bl: bl.size)
+    for m, biasing_list in lists.items():
+        if longest.phrases[: biasing_list.size] != biasing_list.phrases:
+            raise ValueError(f"swept list M={m} is not a prefix of the longest list")
+    phis = {m: build_phi(bl, corpus.vocabulary) for m, bl in lists.items()}
+    tasks = [(utt, s) for s in config.sweep_seeds for utt in corpus.utterances]
+    if workers > 1:
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_init_sweep,
+            initargs=(lists, phis, corpus.vocabulary, config),
+        ) as pool:
+            per_task = list(pool.map(_sweep_worker, tasks, chunksize=4))
+    else:
+        per_task = [
+            decode_one(utt, lists, phis, corpus.vocabulary, config, s)
+            for utt, s in tasks
+        ]
+    n = len(corpus.utterances)
     results: dict[tuple[str, int, int], CellResult] = {}
-    for m in config.list_lengths:
-        biasing_list = corpus.lists[m]
-        phi = build_phi(biasing_list, corpus.vocabulary)
-        for sweep_seed in config.sweep_seeds:
-            noise = config.noise_for(sweep_seed)
+    for m, biasing_list in lists.items():
+        for i, sweep_seed in enumerate(config.sweep_seeds):
             for method in config.methods:
-                if workers > 1:
-                    with ProcessPoolExecutor(
-                        max_workers=workers,
-                        initializer=_init_cell,
-                        initargs=(biasing_list, phi, corpus.vocabulary, noise,
-                                  method, config, sweep_seed),
-                    ) as pool:
-                        outcomes = list(
-                            pool.map(_cell_worker, corpus.utterances, chunksize=16)
-                        )
-                else:
-                    outcomes = [
-                        decode_one(utt, biasing_list, phi, corpus.vocabulary,
-                                   noise, method, config, sweep_seed)
-                        for utt in corpus.utterances
-                    ]
+                outcomes = [cells[(m, method)] for cells in per_task[i * n : (i + 1) * n]]
                 results[(method, m, sweep_seed)] = _aggregate(
                     outcomes, corpus.utterances, biasing_list,
                     method, m, sweep_seed, keep_outcomes,

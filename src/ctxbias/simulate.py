@@ -309,12 +309,14 @@ class SyntheticScorer:
         )
         # most purification groups hold no evidence-bearing phrase at all;
         # their list correlation is this one shared floor vector
-        self._ev_cols = frozenset(np.flatnonzero(self._ev_list.any(axis=0)).tolist())
+        self._ev_mask = self._ev_list.any(axis=0)
         self._q_list_floor = self._apply_list_noise(np.zeros(self._u))
 
     # -- evidence construction ------------------------------------------
 
     def _build_list_evidence(self) -> np.ndarray:
+        """(U, M) gold-span evidence: 1 on each span's phrase column, and
+        ADJACENT_EVIDENCE one step past either boundary when jitter is on."""
         ev = np.zeros((self._u, self._m))
         bleed = ADJACENT_EVIDENCE if self.spec.score_jitter_sigma > 0 else 0.0
         for s in self.utt.spans:
@@ -327,18 +329,11 @@ class SyntheticScorer:
         return ev
 
     def _build_phrase_scores(self) -> np.ndarray:
-        ev = np.zeros((self._u, self._m))
+        # the phrase head sees the same span evidence as the list channel,
+        # boundary bleed included; spans never point at the no-bias column,
+        # which holds the off-span steps instead
+        ev = self._ev_list.copy()
         ev[:, 0] = 1.0 - self._y_list
-        # boundary bleed mirrors the list channel: the phrase head also sees
-        # fragments of the phrase one step past the span
-        bleed = ADJACENT_EVIDENCE if self.spec.score_jitter_sigma > 0 else 0.0
-        for s in self.utt.spans:
-            if bleed:
-                if s.start > 0:
-                    ev[s.start - 1, s.phrase] = max(ev[s.start - 1, s.phrase], bleed)
-                if s.end < self._u:
-                    ev[s.end, s.phrase] = max(ev[s.end, s.phrase], bleed)
-            ev[s.start : s.end, s.phrase] = 1.0
         if self.spec.distractor_boost > 0.0 and self.utt.spans:
             self._apply_distractors(ev)
         sigma = self.spec.score_jitter_sigma
@@ -416,15 +411,15 @@ class SyntheticScorer:
 
     def q_list_for(self, members) -> np.ndarray:
         """List correlation against the sublist given by original indices."""
-        members = [int(m) for m in members]
-        if self._ev_cols.isdisjoint(members):
+        members = np.asarray(members, dtype=np.intp)
+        if not self._ev_mask[members].any():
             return self._q_list_floor.copy()
-        q = self._ev_list[:, members].max(axis=1) if members else np.zeros(self._u)
-        return self._apply_list_noise(q)
+        return self._apply_list_noise(self._ev_list[:, members].max(axis=1))
 
     def q_phr_for(self, members) -> np.ndarray:
-        members = np.asarray(list(members), dtype=np.intp)
-        return self._q_phr[:, members].copy()
+        # take copies in C order; fancy column indexing would return an
+        # F-ordered matrix, which the decode's (U, M, V) broadcasts read slowly
+        return np.take(self._q_phr, np.asarray(members, dtype=np.intp), axis=1)
 
     def score_group(self, members) -> tuple[np.ndarray, np.ndarray]:
         """Correlations against one purification group.
@@ -433,18 +428,19 @@ class SyntheticScorer:
         matrix carries the no-bias column first, then the members in the
         given order; the list correlation is taken over the members only.
         """
-        members = [int(m) for m in members]
-        if not members:
+        members = np.asarray(members, dtype=np.intp)
+        if members.size == 0:
             raise ValueError("cannot score an empty group")
-        cols = [0, *members]
-        return self.q_list_for(members), self.q_phr_for(cols)
+        return self.q_list_for(members), self.q_phr_for(np.r_[0, members])
 
     def bundle(self, members=None) -> CorrelationBundle:
-        """Full scorer output against the list (or a kept-index sublist)."""
+        """Full scorer output against the list, or against the sublist of the
+        given original indices (a prefix ``np.arange(m)`` is the list's first
+        m entries)."""
         if members is None:
             members = np.arange(self._m, dtype=np.intp)
         else:
-            members = np.asarray(list(members), dtype=np.intp)
+            members = np.asarray(members, dtype=np.intp)
             if members.size == 0 or members[0] != 0:
                 raise ValueError("a sublist bundle must start with the no-bias entry")
         return CorrelationBundle(

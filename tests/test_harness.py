@@ -1,11 +1,15 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from ctxbias import corpus as corpus_mod
+from ctxbias import purify
 from ctxbias.harness import cli, config, corpusgen, report, runner
-from ctxbias.metrics import MetricsReport
+from ctxbias.jointdecode import attention_decode, count_phrases, decode_utterance, greedy_decode
+from ctxbias.metrics import MetricsReport, cer
+from ctxbias.simulate import SyntheticScorer, synth_backbone
 
 
 def _small_config(**kw):
@@ -77,6 +81,17 @@ def test_config_rejects_unknown_keys(tmp_path):
     config.save_config(_small_config(), path)
     path.write_text(path.read_text() + "\n[corpus]\nmystery = 3\n")
     with pytest.raises(Exception):
+        config.load_config(path, apply_env=False)
+
+
+@pytest.mark.parametrize("key", ["alpha", "gamma"])
+def test_config_rejects_removed_focal_keys(tmp_path, key):
+    # alpha/gamma once sat under [decode] but changed nothing; old files fail
+    path = tmp_path / "exp.ini"
+    config.save_config(_small_config(), path)
+    text = path.read_text().replace("[decode]\n", f"[decode]\n{key} = 0.5\n")
+    path.write_text(text)
+    with pytest.raises(ValueError, match="unknown config entries"):
         config.load_config(path, apply_env=False)
 
 
@@ -184,14 +199,144 @@ def test_sweep_outcomes_are_per_utterance():
 
 
 def test_sweep_workers_match_serial():
-    cfg = _small_config(n_utterances=8, methods=("joint",), score_jitter_sigma=0.1)
+    cfg = _small_config(
+        n_utterances=8,
+        list_lengths=(51, 201),
+        methods=("baseline", "attn", "joint", "joint_gcp_pp"),
+        n_seeds=2,
+        score_jitter_sigma=0.1,
+        confusion_rate=0.3,
+    )
     corp = corpusgen.generate_corpus(cfg)
-    serial = runner.run_sweep(cfg, corpus=corp, workers=1)
-    parallel = runner.run_sweep(cfg, corpus=corp, workers=2)
+    serial = runner.run_sweep(cfg, corpus=corp, workers=1, keep_outcomes=True)
+    parallel = runner.run_sweep(cfg, corpus=corp, workers=2, keep_outcomes=True)
+    assert list(serial) == list(parallel)
+    assert len(serial) == 2 * 2 * 4
     for key in serial:
         a, b = serial[key].report.to_dict(), parallel[key].report.to_dict()
         a.pop("rtf"), b.pop("rtf")
         assert a == b
+        assert serial[key].m_pur_mean == parallel[key].m_pur_mean
+        assert [(o.uid, o.hyp, o.kept) for o in serial[key].outcomes] == [
+            (o.uid, o.hyp, o.kept) for o in parallel[key].outcomes
+        ]
+
+
+def _direct_decode(utt, biasing_list, vocab, cfg, method, seed):
+    """The obvious per-cell decode: a fresh scorer at this very list."""
+    noise = cfg.noise_for(seed)
+    if method == "baseline":
+        hyp = greedy_decode(synth_backbone(utt, noise, vocab))
+        return hyp, hyp, hyp, None
+    scorer = SyntheticScorer(utt, biasing_list, vocab, noise)
+    phi = corpus_mod.build_phi(biasing_list, vocab)
+    kept = None
+    if "gcp" in method:
+        kept = purify.gcp(biasing_list, scorer, cfg.purify_for(seed)).kept
+        sub_phi, _ = purify.restrict_phi(phi, kept)
+        res = decode_utterance(scorer.bundle(kept), biasing_list.sublist(kept), sub_phi,
+                               cfg.smoothing)
+    elif method == "attn":
+        res = attention_decode(scorer.bundle(), biasing_list, phi)
+    else:
+        res = decode_utterance(scorer.bundle(), biasing_list, phi, cfg.smoothing)
+    return res.hyp_bb, res.hyp_casr, res.hyp_final, kept
+
+
+def test_sweep_metrics_match_direct_recomputation():
+    cfg = _small_config(
+        n_utterances=10,
+        list_lengths=(51, 201),
+        methods=("baseline", "attn", "joint", "joint_pp", "joint_gcp_pp"),
+        confusion_rate=0.4,
+        distractor_boost=0.3,
+        score_jitter_sigma=0.2,
+        label_flip_rate=0.05,
+    )
+    corp = corpusgen.generate_corpus(cfg)
+    results = runner.run_sweep(cfg, corpus=corp, keep_outcomes=True)
+    refs = {u.uid: u for u in corp.utterances}
+    for (method, m, seed), cell in results.items():
+        bl = corp.lists[m]
+        edits = np.zeros(3, dtype=int)
+        for o in cell.outcomes:
+            utt = refs[o.uid]
+            hyp_bb, hyp_casr, hyp_final, kept = _direct_decode(
+                utt, bl, corp.vocabulary, cfg, method, seed)
+            assert o.hyp == (hyp_final if method.endswith("_pp") else hyp_casr)
+            assert o.kept == kept
+            assert o.edits == cer(o.hyp, utt.tokens)[1:]
+            assert o.cer_bb == cer(hyp_bb, utt.tokens)[0]
+            assert o.cer_final == cer(hyp_final, utt.tokens)[0]
+            assert o.count_bb == count_phrases(hyp_bb, bl)
+            assert o.count_final == count_phrases(hyp_final, bl)
+            edits += cer(o.hyp, utt.tokens)[1:]
+        r = cell.report
+        assert (r.substitutions, r.insertions, r.deletions) == tuple(edits)
+        assert r.cer == edits.sum() / r.ref_length
+
+
+def test_sweep_builds_one_scorer_per_utterance_seed(monkeypatch):
+    cfg = _small_config(
+        n_utterances=4,
+        list_lengths=(51, 201, 601, 1196),
+        methods=("baseline", "attn", "joint", "joint_gcp_pp"),
+        n_seeds=2,
+        score_jitter_sigma=0.1,
+        confusion_rate=0.3,
+        distractor_boost=0.3,
+    )
+    corp = corpusgen.generate_corpus(cfg)
+    counts = {"scorers": 0, "cer": 0, "pools": 0}
+
+    class CountingScorer(SyntheticScorer):
+        def __init__(self, *args, **kwargs):
+            counts["scorers"] += 1
+            super().__init__(*args, **kwargs)
+
+    class CountingPool(runner.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            counts["pools"] += 1
+            super().__init__(*args, **kwargs)
+
+    def counting_cer(hyp, ref):
+        counts["cer"] += 1
+        return cer(hyp, ref)
+
+    monkeypatch.setattr(runner, "SyntheticScorer", CountingScorer)
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(runner, "cer", counting_cer)
+    runner.run_sweep(cfg, corpus=corp)
+    utt_seeds = 4 * 2
+    assert counts["scorers"] == utt_seeds
+    # at most two error-rate alignments per biased cell, one per baseline cell
+    assert counts["cer"] <= utt_seeds * 4 * (3 * 2 + 1)
+    assert counts["pools"] == 0
+
+    counts.update(scorers=0, cer=0)
+    runner.run_sweep(cfg, corpus=corp, workers=2)
+    assert counts["pools"] == 1
+
+    counts.update(scorers=0, pools=0)
+    baseline_only = config.ExperimentConfig(**{**cfg.__dict__, "methods": ("baseline",)})
+    runner.run_sweep(baseline_only, corpus=corp)
+    assert counts["scorers"] == 0
+
+
+def test_sweep_rejects_lists_that_do_not_nest():
+    cfg = _small_config(n_utterances=4, list_lengths=(51, 201), methods=("joint",))
+    corp = corpusgen.generate_corpus(cfg)
+    shifted = corp.pool.sublist((0, *range(2, 52)))  # drops phrase 1: no prefix
+    bad = dataclasses.replace(corp, lists={51: shifted, 201: corp.lists[201]})
+    with pytest.raises(ValueError, match="prefix"):
+        runner.run_sweep(cfg, corpus=bad)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_rejects_workers_below_one(workers):
+    cfg = _small_config(n_utterances=4)
+    with pytest.raises(ValueError, match="workers"):
+        runner.run_sweep(cfg, workers=workers)
 
 
 # ---------------------------------------------------------------- report
@@ -341,6 +486,16 @@ def test_cli_reports_errors_as_json(tmp_path, capsys):
     assert cli.main(["decode", "--config", str(ini), "--utt", "nope"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
+
+
+def test_cli_sweep_rejects_workers_below_one(tmp_path, capsys):
+    cfg = _small_config(n_utterances=4, outdir=str(tmp_path / "runs"))
+    ini = tmp_path / "exp.ini"
+    config.save_config(cfg, ini)
+    assert cli.main(["sweep", "--config", str(ini), "--workers", "-3"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "workers" in err["message"]
+    assert not (tmp_path / "runs").exists()
 
 
 def test_cli_seed_override(tmp_path, capsys):

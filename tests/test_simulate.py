@@ -245,3 +245,28 @@ def test_noise_spec_validation():
         simulate.NoiseSpec(confusion_rate=1.5)
     with pytest.raises(ValueError):
         simulate.NoiseSpec(score_jitter_sigma=-0.1)
+
+
+def test_prefix_slice_of_longest_scorer_matches_fresh_scorer():
+    """A scorer built at the longest list, sliced to a prefix, gives exactly
+    what a scorer built at that prefix gives; the sweep runner relies on it."""
+    from ctxbias import purify
+    from ctxbias.harness.config import ExperimentConfig
+    from ctxbias.harness.corpusgen import generate_corpus
+
+    cfg = ExperimentConfig(n_utterances=6, list_lengths=(51, 201, 601), group_size=75)
+    corp = generate_corpus(cfg)
+    spec = simulate.NoiseSpec(seed=4, label_flip_rate=0.1, score_jitter_sigma=0.3,
+                              confusion_rate=0.3, distractor_boost=0.3)
+    params = purify.PurifyParams(group_size=75, shuffle_seed=4)
+    longest = corp.lists[601]
+    for utt in corp.utterances:
+        big = simulate.SyntheticScorer(utt, longest, corp.vocabulary, spec)
+        for m in (51, 201, 601):
+            bl = corp.lists[m]
+            fresh = simulate.SyntheticScorer(utt, bl, corp.vocabulary, spec)
+            a, b = big.bundle(np.arange(m)), fresh.bundle()
+            for name in ("q_list", "q_phr", "q_tok", "p_bb"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), (utt.uid, m, name)
+            for pick in (purify.gcp, purify.ocp):
+                assert pick(bl, big, params).kept == pick(bl, fresh, params).kept
