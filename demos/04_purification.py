@@ -12,11 +12,7 @@ last section times a full-list decode against a purified one.
 
 import time
 
-import numpy as np
-
 from ctxbias import (
-    BiasingList,
-    CorrelationBundle,
     NoiseSpec,
     PurifyParams,
     SmoothingParams,
@@ -46,10 +42,8 @@ def main() -> None:
     print(f"{utt.uid}: gold phrase indices {golds} in a list of {blist.size}")
 
     res = gcp(blist, scorer, params)
-    for log in res.rounds:
-        survivors = sum(len(w) for w in log.winners)
-        print(f"  gcp round {log.round_index}: {len(log.groups)} groups "
-              f"-> {survivors} survivors")
+    for i, rnd in enumerate(res.rounds, start=1):
+        print(f"  gcp round {i}: {rnd.groups} groups -> {rnd.survivors} survivors")
     print(f"  gcp kept {res.m_pur} entries; golds kept: "
           f"{[g for g in golds if g in res.kept]}")
 
@@ -82,19 +76,9 @@ def main() -> None:
 
     t0 = time.perf_counter()
     pres = gcp(blist, scorer, params)
-    kept = np.asarray(pres.kept, dtype=np.intp)
-    sub_phi, _ = restrict_phi(phi, kept)
-    sub_list = BiasingList(
-        phrases=tuple(blist.phrases[i] for i in pres.kept),
-        no_bias_token=blist.no_bias_token,
-    )
-    sub = CorrelationBundle(
-        q_list=scorer.q_list_for(pres.kept[1:]),
-        q_phr=scorer.q_phr_for(pres.kept),
-        q_tok=bundle.q_tok,
-        p_bb=bundle.p_bb,
-    )
-    small = decode_utterance(sub, sub_list, sub_phi, SmoothingParams())
+    sub_phi, _ = restrict_phi(phi, pres.kept)
+    small = decode_utterance(scorer.bundle(pres.kept), blist.sublist(pres.kept), sub_phi,
+                             SmoothingParams())
     t_small = time.perf_counter() - t0
 
     same = full.hyp_final == small.hyp_final

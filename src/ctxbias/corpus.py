@@ -239,9 +239,18 @@ class PhiMask:
             raise ValueError("phi must be a 2-d uint8 matrix")
 
     @cached_property
-    def dense(self) -> np.ndarray:
-        """The mask as float64, for vectorized masking arithmetic."""
-        return self.matrix.astype(float)
+    def by_token(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzeros grouped by token, as (tokens, starts, phrases).
+
+        ``tokens`` lists, ascending, every token that occurs in some phrase;
+        the phrases containing ``tokens[k]`` are
+        ``phrases[starts[k]:starts[k + 1]]``, ascending. Max-reductions over
+        containing phrases then touch only the nonzeros
+        (``np.maximum.reduceat(x[:, phrases], starts, axis=1)``).
+        """
+        token_of, phrases = np.nonzero(self.matrix.T)
+        tokens, starts = np.unique(token_of, return_index=True)
+        return tokens, starts, phrases
 
 
 def scan_occurrences(tokens, biasing_list: BiasingList) -> tuple[tuple[int, int], ...]:

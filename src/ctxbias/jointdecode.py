@@ -45,10 +45,15 @@ def joint_intersection(
     m, v = phi.matrix.shape
     if q_sphr.shape != (q_slist.shape[0], m) or q_tok.shape != (q_slist.shape[0], v):
         raise ValueError("correlation shapes disagree with the mask")
-    # correlations are nonnegative, so masking by multiplication and taking
-    # the max over phrases equals the max over containing phrases, with
-    # tokens in no phrase pinned at 0
-    phrase_max = (q_sphr[:, :, None] * phi.dense[None, :, :]).max(axis=1)
+    # a segment max over the mask's nonzeros, grouped by token; correlations
+    # are nonnegative, so this equals the max over all phrases of
+    # q_sphr * phi, where a phrase lacking the token contributes 0
+    tokens, starts, phrases = phi.by_token
+    phrase_max = np.zeros_like(q_tok)
+    if tokens.size:
+        phrase_max[:, tokens] = np.maximum.reduceat(
+            np.take(q_sphr, phrases, axis=1), starts, axis=1
+        )
     scores = q_slist[:, None] * phrase_max * q_tok
     return softmax(scores, axis=1)
 

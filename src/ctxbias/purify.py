@@ -12,8 +12,9 @@ variant could never shrink anything.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, replace
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -36,20 +37,18 @@ class PurifyParams:
             raise ValueError("thres_list must lie in [0,1]")
 
 
-@dataclass(frozen=True)
-class RoundLog:
-    """Audit record of one round: groups and their winners (original indices)."""
+class RoundAudit(NamedTuple):
+    """One purification round: how many groups competed, how many won."""
 
-    round_index: int
-    groups: tuple[tuple[int, ...], ...]
-    winners: tuple[tuple[int, ...], ...]
+    groups: int
+    survivors: int
 
 
 @dataclass(frozen=True)
 class PurifyResult:
     kept: tuple[int, ...]
     m_pur: int
-    rounds: tuple[RoundLog, ...]
+    rounds: tuple[RoundAudit, ...]
 
     def __post_init__(self) -> None:
         if len(set(self.kept)) != len(self.kept):
@@ -60,13 +59,36 @@ class PurifyResult:
             raise ValueError("m_pur must count the kept indices")
 
 
-def group_phrases(m: int, group_size: int, seed: int) -> list[np.ndarray]:
-    """Shuffle m indices and slice into ceil(m/group_size) contiguous groups."""
+class GroupScorer(Protocol):
+    """What purification asks of a scorer; indices are original list indices.
+
+    Scores must be finite and lie in [0, 1]; ``gcp`` checks every answer
+    and raises ``ValueError`` otherwise.
+    """
+
+    def q_list_groups(self, members: np.ndarray, group_size: int) -> np.ndarray:
+        """(G, U) list correlation against each consecutive group of
+        ``group_size`` members (the last group may be shorter)."""
+
+    def q_phr_for(self, members: np.ndarray) -> np.ndarray:
+        """(U, len(members)) phrase correlations, in member order."""
+
+
+@functools.lru_cache(maxsize=256)
+def round_order(shuffle_seed: int, round_index: int, m: int) -> np.ndarray:
+    """The shuffle of m competitors in a purification round.
+
+    Group g of the round holds positions ``order[g * group_size:(g + 1) *
+    group_size]``, so there are ceil(m / group_size) groups and only the last
+    may be short. The order depends on the seed, the round and m alone, so it
+    is cached; the array is read-only.
+    """
     if m < 1:
         raise ValueError("need at least one index to group")
-    perm = np.random.default_rng(seed).permutation(m)
-    g = math.ceil(m / group_size)
-    return [perm[i * group_size : (i + 1) * group_size] for i in range(g)]
+    key = rng.stream_key(shuffle_seed, "round", round_index)
+    order = np.random.default_rng(key).permutation(m)
+    order.flags.writeable = False
+    return order
 
 
 def select_winners(q_list_g, q_phr_g, thres_list: float, n_top: int) -> tuple[int, ...]:
@@ -75,63 +97,88 @@ def select_winners(q_list_g, q_phr_g, thres_list: float, n_top: int) -> tuple[in
 
     Zero-scored phrases never win, ties prefer the smaller index, and the
     per-step winner sets are unioned. No confident step means no winners.
+    Takes one group, q_list_g (U,) and q_phr_g (U, S), or G stacked groups
+    of S slots, (G, U) and (G, U, S), and returns the sorted flat indices
+    g * S + s of the winners. Scores must be nonnegative.
     """
     q_list_g = np.asarray(q_list_g, dtype=float)
     q_phr_g = np.asarray(q_phr_g, dtype=float)
-    winners: set[int] = set()
-    for u in np.flatnonzero(q_list_g > thres_list):
-        vals = q_list_g[u] * q_phr_g[u]
-        pos = np.flatnonzero(vals > 0)
-        if pos.size == 0:
-            continue
-        order = pos[np.lexsort((pos, -vals[pos]))]
-        winners.update(int(i) for i in order[:n_top])
-    return tuple(sorted(winners))
+    confident = q_list_g > thres_list
+    by_group = confident.reshape(-1, confident.shape[-1])
+    vals = q_list_g[confident][:, None] * q_phr_g[confident]  # (steps, S)
+    slots = vals.shape[1]
+    wins = vals > 0
+    if n_top < slots:
+        # the n_top-th largest value per step; everything above it wins, and
+        # entries tied with it fill the remaining places in index order
+        kth = np.partition(vals, slots - n_top, axis=1)[:, slots - n_top, None]
+        above = vals > kth
+        tied = vals == kth
+        room = n_top - above.sum(axis=1, keepdims=True)
+        wins &= above | (tied & (np.cumsum(tied, axis=1) <= room))
+    won = np.zeros((by_group.shape[0], slots), dtype=bool)
+    np.logical_or.at(won, np.nonzero(by_group)[0], wins)
+    return tuple(np.flatnonzero(won).tolist())
 
 
-def gcp(biasing_list: BiasingList, scorer, params: PurifyParams) -> PurifyResult:
+def _checked(scores, shape: tuple, what: str) -> np.ndarray:
+    """A scorer answer as float, or ValueError unless it has the given shape
+    (None matches any length) and every entry is finite and in [0, 1]."""
+    scores = np.asarray(scores, dtype=float)
+    if scores.ndim != len(shape) or any(
+        want not in (None, got) for want, got in zip(shape, scores.shape)
+    ):
+        raise ValueError(f"{what} returned shape {scores.shape}, expected {shape}")
+    # min and max propagate NaN, which then fails both comparisons
+    if not (scores.min(initial=0.0) >= 0.0 and scores.max(initial=1.0) <= 1.0):
+        raise ValueError(f"{what} returned scores that are not finite and in [0, 1]")
+    return scores
+
+
+def gcp(biasing_list: BiasingList, scorer: GroupScorer, params: PurifyParams) -> PurifyResult:
     """Group competitive purification.
 
-    ``scorer`` must expose q_list_for(members) and q_phr_for(members),
-    returning scores against the member sublist in member order. Phrase
-    scores are only requested for groups with at least one confident step;
-    the no-bias entry itself never competes and is always kept.
+    Each round shuffles the survivors into groups of ``group_size``, asks
+    the scorer for every group's list correlation at once, and asks for
+    phrase scores only for the groups with at least one confident step;
+    their winners survive. The no-bias entry itself never competes and is
+    always kept.
     """
-    survivors = [int(i) for i in biasing_list.real_indices()]
-    rounds: list[RoundLog] = []
-    i = 1
-    while survivors:
-        round_seed = rng.stream_key(params.shuffle_seed, "round", i)
-        local_groups = group_phrases(len(survivors), params.group_size, round_seed)
-        groups = [[survivors[j] for j in g.tolist()] for g in local_groups]
-        winners_log = []
-        merged: set[int] = set()
-        for members in groups:
-            q_list_g = scorer.q_list_for(members)
-            if np.any(q_list_g > params.thres_list):
-                q_phr_g = scorer.q_phr_for(members)
-                local = select_winners(q_list_g, q_phr_g, params.thres_list, params.n_top)
-                wins = tuple(members[j] for j in local)
-            else:
-                wins = ()
-            winners_log.append(wins)
-            merged.update(wins)
-        survivors = sorted(merged)
-        rounds.append(
-            RoundLog(
-                round_index=i,
-                groups=tuple(tuple(g) for g in groups),
-                winners=tuple(winners_log),
-            )
-        )
-        i += 1
-        if i > params.n_r or math.ceil(len(survivors) / params.group_size) <= 1:
+    gs = params.group_size
+    survivors = biasing_list.real_indices()
+    rounds: list[RoundAudit] = []
+    for i in range(1, params.n_r + 1):
+        # the first round runs even when the list fits one group
+        if survivors.size <= (gs if rounds else 0):
             break
-    kept = (0, *survivors)
+        members = survivors[round_order(params.shuffle_seed, i, survivors.size)]
+        n_groups = -(-members.size // gs)
+        q_list = _checked(scorer.q_list_groups(members, gs), (n_groups, None),
+                          "q_list_groups")
+        u = q_list.shape[1]
+        confident = (q_list > params.thres_list).any(axis=1)
+        # the confident groups' members, gs slots per group; only the last
+        # group can be short, and its empty slots (-1) score 0, so never win
+        slots = np.full(n_groups * gs, -1)
+        slots[: members.size] = members
+        slots = slots.reshape(n_groups, gs)[confident].ravel()
+        won = []
+        if slots.size:
+            filled = slots >= 0
+            q_phr = np.zeros((u, slots.size))
+            q_phr[:, filled] = _checked(
+                scorer.q_phr_for(slots[filled]), (u, int(filled.sum())), "q_phr_for"
+            )
+            q_phr = q_phr.reshape(u, -1, gs).transpose(1, 0, 2)
+            won = list(select_winners(q_list[confident], q_phr, params.thres_list,
+                                      params.n_top))
+        survivors = np.sort(slots[won])
+        rounds.append(RoundAudit(groups=n_groups, survivors=survivors.size))
+    kept = (0, *survivors.tolist())
     return PurifyResult(kept=kept, m_pur=len(kept), rounds=tuple(rounds))
 
 
-def ocp(biasing_list: BiasingList, scorer, params: PurifyParams) -> PurifyResult:
+def ocp(biasing_list: BiasingList, scorer: GroupScorer, params: PurifyParams) -> PurifyResult:
     """Once competitive purification: a single round, one global group."""
     n_real = biasing_list.size - 1
     return gcp(biasing_list, scorer, replace(params, group_size=max(1, n_real), n_r=1))

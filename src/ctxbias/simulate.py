@@ -409,29 +409,40 @@ class SyntheticScorer:
             q = _jitter(q, self.spec.score_jitter_sigma, self._z_list)
         return q
 
+    def q_list_groups(self, members, group_size: int) -> np.ndarray:
+        """(G, U) list correlations of consecutive groups of ``members``.
+
+        ``members`` are original indices; group g holds
+        ``members[g * group_size:(g + 1) * group_size]`` (the last group may
+        be shorter), and row g is the list correlation against that group
+        alone.
+        """
+        members = np.asarray(members, dtype=np.intp)
+        if members.size == 0 or group_size < 1:
+            raise ValueError("need a nonempty member list and a positive group size")
+        out = np.repeat(self._q_list_floor[None], -(-members.size // group_size), axis=0)
+        # only groups holding an evidence-bearing member leave the floor; the
+        # other members' columns are all zero and evidence is nonnegative, so
+        # the max over the evidence-bearing members is the group's column max
+        pos = np.flatnonzero(self._ev_mask[members])
+        if pos.size:
+            group = pos // group_size  # ascending
+            first = np.ones(group.size, dtype=bool)
+            first[1:] = group[1:] != group[:-1]
+            first = np.flatnonzero(first)
+            ev = np.maximum.reduceat(self._ev_list[:, members[pos]], first, axis=1)
+            out[group[first]] = self._apply_list_noise(ev.T)
+        return out
+
     def q_list_for(self, members) -> np.ndarray:
         """List correlation against the sublist given by original indices."""
         members = np.asarray(members, dtype=np.intp)
-        if not self._ev_mask[members].any():
-            return self._q_list_floor.copy()
-        return self._apply_list_noise(self._ev_list[:, members].max(axis=1))
+        return self.q_list_groups(members, max(members.size, 1))[0]
 
     def q_phr_for(self, members) -> np.ndarray:
         # take copies in C order; fancy column indexing would return an
-        # F-ordered matrix, which the decode's (U, M, V) broadcasts read slowly
+        # F-ordered matrix
         return np.take(self._q_phr, np.asarray(members, dtype=np.intp), axis=1)
-
-    def score_group(self, members) -> tuple[np.ndarray, np.ndarray]:
-        """Correlations against one purification group.
-
-        ``members`` are original real-phrase indices. The returned phrase
-        matrix carries the no-bias column first, then the members in the
-        given order; the list correlation is taken over the members only.
-        """
-        members = np.asarray(members, dtype=np.intp)
-        if members.size == 0:
-            raise ValueError("cannot score an empty group")
-        return self.q_list_for(members), self.q_phr_for(np.r_[0, members])
 
     def bundle(self, members=None) -> CorrelationBundle:
         """Full scorer output against the list, or against the sublist of the

@@ -82,10 +82,12 @@ def guided_phrase_smooth(q_phr: np.ndarray, q_list, q_slist) -> np.ndarray:
     n = q.shape[0]
     length = estimate_phrase_length(q_slist)
     col_sums = _box_sums(q_phr, length)  # (n-length+1, M), start-indexed
-    starts = np.empty(n, dtype=np.intp)
-    row_sums = _box_sums(q, length)
-    for u in range(n):
-        lo = max(0, u - length + 1)
-        hi = min(n - length, u + length - 1)
-        starts[u] = lo + int(np.argmax(row_sums[lo : hi + 1]))
+    # locate_window for every step at once: step u searches starts
+    # u-length+1 .. u+length-1, which is row u of a sliding window over the
+    # box sums padded with length-1 (left) and 2*length-2 (right) entries of
+    # -inf that never win; argmax keeps the first, i.e. smallest, start
+    pad = np.full(length - 1, -np.inf)
+    padded = np.concatenate((pad, _box_sums(q, length), pad, pad))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * length - 1)
+    starts = np.arange(n) - (length - 1) + np.argmax(windows, axis=1)
     return np.tanh(col_sums[starts])

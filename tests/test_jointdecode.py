@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from ctxbias import corpus, jointdecode, simulate
-from ctxbias.smoothing import SmoothingParams
+from ctxbias.harness.config import ExperimentConfig
+from ctxbias.harness.corpusgen import generate_corpus
+from ctxbias.numeric import softmax
+from ctxbias.smoothing import SmoothingParams, guided_phrase_smooth, triangular_smooth
 
 
 def _vocab(n_chars: int = 20, seed: int = 3) -> corpus.Vocabulary:
@@ -32,6 +35,46 @@ def test_joint_intersection_zero_list_scores_are_uniform():
     empty = corpus.PhiMask(matrix=np.zeros_like(phi.matrix))
     out = jointdecode.joint_intersection(np.ones(u), bundle.q_phr, bundle.q_tok, empty)
     assert np.allclose(out, 1.0 / vsize, atol=1e-12)
+
+
+def _dense_intersection(q_slist, q_sphr, q_tok, phi):
+    """The intersection as the (U, M, V) broadcast: mask by multiplication,
+    max over phrases."""
+    phrase_max = (q_sphr[:, :, None] * phi.matrix.astype(float)[None]).max(axis=1)
+    return softmax(q_slist[:, None] * phrase_max * q_tok, axis=1)
+
+
+def test_joint_intersection_matches_dense_oracle_on_random_masks():
+    rng = np.random.default_rng(4)
+    shapes = [(1, 9), (2, 9), (7, 12), (40, 30)]
+    for trial in range(60):
+        m, v = shapes[trial % len(shapes)]
+        u = int(rng.integers(1, 9))
+        density = (0.0, 0.05, 0.3, 1.0)[trial % 4]
+        matrix = (rng.uniform(size=(m, v)) < density).astype(np.uint8)
+        matrix[:, rng.integers(0, v)] = 0  # a token in no phrase
+        phi = corpus.PhiMask(matrix=matrix)
+        q_slist = rng.uniform(size=u)
+        q_sphr = rng.uniform(size=(u, m)) * (rng.uniform(size=(u, m)) > 0.2)
+        q_tok = rng.dirichlet(np.ones(v), size=u)
+        got = jointdecode.joint_intersection(q_slist, q_sphr, q_tok, phi)
+        assert np.array_equal(got, _dense_intersection(q_slist, q_sphr, q_tok, phi))
+
+
+def test_joint_intersection_matches_dense_oracle_on_the_corpus():
+    config = ExperimentConfig(
+        n_utterances=12, confusion_rate=0.3, distractor_boost=0.3, score_jitter_sigma=0.1
+    )
+    corp = generate_corpus(config)
+    for m in config.list_lengths:
+        bl = corp.lists[m]
+        phi = corpus.build_phi(bl, corp.vocabulary)
+        for utt in corp.utterances:
+            b = simulate.SyntheticScorer(utt, bl, corp.vocabulary, config.noise_for(0), phi).bundle()
+            q_slist = triangular_smooth(b.q_list, SmoothingParams())
+            q_sphr = guided_phrase_smooth(b.q_phr, b.q_list, q_slist)
+            got = jointdecode.joint_intersection(q_slist, q_sphr, b.q_tok, phi)
+            assert np.array_equal(got, _dense_intersection(q_slist, q_sphr, b.q_tok, phi))
 
 
 def test_joint_intersection_points_at_phrase_tokens():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctxbias import corpus, purify, simulate
+from ctxbias import corpus, purify, rng, simulate
 from ctxbias.purify import PurifyParams
 
 
@@ -31,15 +31,26 @@ def _utterance_for(bl, gold_indices, uid="u0"):
     return corpus.Utterance(uid, tuple(tokens), 2.0, tuple(spans))
 
 
+def _groups(shuffle_seed, round_index, m, group_size):
+    order = purify.round_order(shuffle_seed, round_index, m)
+    return [order[i : i + group_size] for i in range(0, m, group_size)]
+
+
 def test_group_phrases_shapes():
-    groups = purify.group_phrases(150, 75, seed=1)
+    groups = _groups(1, 1, 150, 75)
     assert [len(g) for g in groups] == [75, 75]
     assert sorted(np.concatenate(groups).tolist()) == list(range(150))
-    assert [len(g) for g in purify.group_phrases(10, 75, seed=1)] == [10]
-    a = purify.group_phrases(40, 7, seed=9)
-    b = purify.group_phrases(40, 7, seed=9)
+    assert [len(g) for g in _groups(1, 1, 10, 75)] == [10]
+    a = _groups(9, 2, 40, 7)
+    b = _groups(9, 2, 40, 7)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     assert [len(g) for g in a] == [7, 7, 7, 7, 7, 5]
+    # the cached order is the round's seeded shuffle, and read-only
+    key = rng.stream_key(9, "round", 2)
+    assert np.array_equal(np.concatenate(a), np.random.default_rng(key).permutation(40))
+    assert not purify.round_order(9, 2, 40).flags.writeable
+    with pytest.raises(ValueError):
+        purify.round_order(9, 2, 0)
 
 
 def test_select_winners_empty_when_no_confident_step():
@@ -55,21 +66,42 @@ def test_select_winners_singleton():
     assert purify.select_winners(q_list, q_phr, 0.5, 10) == (3,)
 
 
+def _bruteforce_winners(q_list, q_phr, thres, n_top):
+    want = set()
+    for step in range(len(q_list)):
+        if q_list[step] > thres:
+            vals = q_list[step] * q_phr[step]
+            ranked = sorted(range(q_phr.shape[1]), key=lambda m: (-vals[m], m))
+            want.update(m for m in ranked[:n_top] if vals[m] > 0)
+    return tuple(sorted(want))
+
+
 def test_select_winners_matches_bruteforce():
-    rng = np.random.default_rng(1)
-    for trial in range(30):
+    gen = np.random.default_rng(1)
+    for trial in range(60):
         u, g = 7, 25
-        q_list = rng.uniform(size=u)
-        q_phr = rng.uniform(size=(u, g)) * (rng.uniform(size=(u, g)) > 0.3)
-        n_top = 4
-        got = purify.select_winners(q_list, q_phr, 0.5, n_top)
-        want = set()
-        for step in range(u):
-            if q_list[step] > 0.5:
-                vals = q_list[step] * q_phr[step]
-                ranked = sorted(range(g), key=lambda m: (-vals[m], m))
-                want.update(m for m in ranked[:n_top] if vals[m] > 0)
-        assert got == tuple(sorted(want))
+        q_list = gen.uniform(size=u)
+        if trial % 2:  # coarse scores: many ties, also at the n_top-th place
+            q_phr = gen.integers(0, 4, size=(u, g)) / 4.0
+        else:
+            q_phr = gen.uniform(size=(u, g)) * (gen.uniform(size=(u, g)) > 0.3)
+        for n_top in (1, 4, g - 1, g, g + 3):
+            got = purify.select_winners(q_list, q_phr, 0.5, n_top)
+            assert got == _bruteforce_winners(q_list, q_phr, 0.5, n_top)
+
+
+def test_select_winners_stacked_groups_flatten_to_group_times_slots():
+    gen = np.random.default_rng(2)
+    n_groups, u, slots = 5, 6, 9
+    q_list = gen.uniform(size=(n_groups, u))
+    q_phr = gen.integers(0, 3, size=(n_groups, u, slots)) / 2.0
+    got = purify.select_winners(q_list, q_phr, 0.5, 3)
+    want = tuple(
+        g * slots + s
+        for g in range(n_groups)
+        for s in _bruteforce_winners(q_list[g], q_phr[g], 0.5, 3)
+    )
+    assert got == want
 
 
 def test_zero_noise_purification_keeps_exactly_the_golds():
@@ -106,14 +138,13 @@ def test_purify_determinism_and_audit_log():
     b = purify.gcp(bl, scorer, params)
     assert a == b
     assert 1 <= len(a.rounds) <= params.n_r
-    seen = set()
+    # each round splits the previous round's survivors into groups
+    competing = bl.size - 1
     for rnd in a.rounds:
-        flat = [m for grp in rnd.groups for m in grp]
-        assert len(flat) == len(set(flat))
-        for grp, wins in zip(rnd.groups, rnd.winners):
-            assert set(wins) <= set(grp)
-        seen.update(w for wins in rnd.winners for w in wins)
-    assert set(a.kept[1:]) <= seen
+        assert rnd.groups == -(-competing // params.group_size)
+        assert rnd.survivors <= competing
+        competing = rnd.survivors
+    assert a.rounds[-1].survivors == a.m_pur - 1
 
 
 def test_round_output_bounds():
@@ -127,10 +158,119 @@ def test_round_output_bounds():
     for rnd in res.rounds:
         q_list_fullish = scorer.q_list_for(range(1, bl.size))
         n_active = int(np.sum(q_list_fullish > params.thres_list))
-        survivors = {w for wins in rnd.winners for w in wins}
-        assert len(survivors) <= len(rnd.groups) * params.n_top * max(n_active, 1)
-        assert len(survivors) <= prev
-        prev = len(survivors)
+        assert rnd.survivors <= rnd.groups * params.n_top * max(n_active, 1)
+        assert rnd.survivors <= prev
+        prev = rnd.survivors
+
+
+def _loop_gcp(biasing_list, scorer, params):
+    """Group purification as a loop over groups, one scorer call per group
+    and a sort per confident step: the reference for the one-pass gcp.
+    Returns the kept indices and (groups, survivors) per round."""
+    survivors = [int(i) for i in biasing_list.real_indices()]
+    rounds = []
+    i = 1
+    while survivors:
+        key = rng.stream_key(params.shuffle_seed, "round", i)
+        order = np.random.default_rng(key).permutation(len(survivors))
+        local_groups = [
+            order[j : j + params.group_size] for j in range(0, len(survivors), params.group_size)
+        ]
+        merged = set()
+        for g in local_groups:
+            members = [survivors[j] for j in g.tolist()]
+            q_list_g = scorer.q_list_for(members)
+            if not np.any(q_list_g > params.thres_list):
+                continue
+            vals_all = q_list_g[:, None] * scorer.q_phr_for(members)
+            for u in np.flatnonzero(q_list_g > params.thres_list):
+                vals = vals_all[u]
+                pos = np.flatnonzero(vals > 0)
+                order = pos[np.lexsort((pos, -vals[pos]))]
+                merged.update(members[j] for j in order[: params.n_top])
+        survivors = sorted(merged)
+        rounds.append((len(local_groups), len(survivors)))
+        i += 1
+        if i > params.n_r or -(-len(survivors) // params.group_size) <= 1:
+            break
+    return (0, *survivors), rounds
+
+
+def test_gcp_matches_loop_oracle_with_every_noise_channel():
+    v, bl = _corpus_with_list(n_real=150, seed=3)
+    spec = simulate.NoiseSpec(
+        seed=8, label_flip_rate=0.1, score_jitter_sigma=0.5,
+        confusion_rate=0.4, distractor_boost=0.7,
+    )
+    checked = 0
+    for golds in ([], [4], [9, 120], [33, 77, 140]):
+        utt = _utterance_for(bl, golds, uid=f"u{len(golds)}")
+        scorer = simulate.SyntheticScorer(utt, bl, v, spec)
+        for group_size in (3, 10, 23, 75, 149, 150, 400):
+            for n_r in (1, 2, 3):
+                for n_top in (1, 4):
+                    params = PurifyParams(group_size=group_size, n_r=n_r, n_top=n_top,
+                                          shuffle_seed=group_size + n_r)
+                    res = purify.gcp(bl, scorer, params)
+                    kept, rounds = _loop_gcp(bl, scorer, params)
+                    assert res.kept == kept
+                    assert [tuple(r) for r in res.rounds] == rounds
+                    checked += len(rounds) > 1
+        once = purify.ocp(bl, scorer, PurifyParams(n_top=4))
+        assert once.kept == _loop_gcp(bl, scorer, PurifyParams(group_size=150, n_r=1, n_top=4))[0]
+    assert checked  # some runs went past the first round
+
+
+class _Corrupted:
+    """A scorer whose answers are damaged by ``damage(name, array)``."""
+
+    def __init__(self, scorer, damage):
+        self.scorer, self.damage = scorer, damage
+
+    def q_list_groups(self, members, group_size):
+        return self.damage("list", self.scorer.q_list_groups(members, group_size))
+
+    def q_phr_for(self, members):
+        return self.damage("phr", self.scorer.q_phr_for(members))
+
+
+def _set(where, value):
+    def damage(name, a):
+        if name == where:
+            a = a.copy()
+            a.flat[0] = value
+        return a
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _set("list", np.nan),
+        _set("list", 5.0),
+        _set("list", -0.5),
+        _set("phr", np.nan),
+        _set("phr", np.inf),
+        _set("phr", 1.5),
+        lambda name, a: a[:-1] if name == "list" else a,  # a group missing
+        lambda name, a: a[0] if name == "list" else a,  # one row, not (G, U)
+        lambda name, a: a[:-1] if name == "phr" else a,  # a step missing
+        lambda name, a: a[:, 1:] if name == "phr" else a,  # a member missing
+    ],
+    ids=["list-nan", "list-5", "list-negative", "phr-nan", "phr-inf", "phr-1.5",
+         "list-rows", "list-1d", "phr-steps", "phr-members"],
+)
+def test_gcp_rejects_bad_scorer_answers(damage):
+    v, bl = _corpus_with_list()
+    utt = _utterance_for(bl, [8])
+    scorer = simulate.SyntheticScorer(utt, bl, v, simulate.NoiseSpec(seed=1))
+    params = PurifyParams(group_size=10)
+    assert purify.gcp(bl, _Corrupted(scorer, lambda name, a: a), params).kept == (0, 8)
+    with pytest.raises(ValueError):
+        purify.gcp(bl, _Corrupted(scorer, damage), params)
+    with pytest.raises(ValueError):
+        purify.ocp(bl, _Corrupted(scorer, damage), params)
 
 
 def test_no_bias_always_kept_even_with_no_winners():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from ctxbias import corpus, simulate
+from ctxbias.harness.config import ExperimentConfig
+from ctxbias.harness.corpusgen import generate_corpus
 
 
 def _vocab(n_chars: int = 20, seed: int = 3) -> corpus.Vocabulary:
@@ -208,10 +210,13 @@ def test_group_scores_do_not_depend_on_other_groups():
     v, bl, utt = _setup(spans=((2, 4, 1),))
     spec = simulate.NoiseSpec(seed=13, score_jitter_sigma=0.2, distractor_boost=0.4)
     scorer = simulate.SyntheticScorer(utt, bl, v, spec)
-    ql_a, qp_a = scorer.score_group([1, 3])
-    scorer.score_group([2, 4])  # interleave another group
-    ql_a2, qp_a2 = scorer.score_group([1, 3])
-    assert np.array_equal(ql_a, ql_a2) and np.array_equal(qp_a, qp_a2)
+    ql_a, qp_a = scorer.q_list_for([1, 3]), scorer.q_phr_for([0, 1, 3])
+    scorer.q_list_for([2, 4])  # interleave another group
+    scorer.q_phr_for([0, 2, 4])
+    assert np.array_equal(ql_a, scorer.q_list_for([1, 3]))
+    assert np.array_equal(qp_a, scorer.q_phr_for([0, 1, 3]))
+    # a group scores the same alone and batched with others
+    assert np.array_equal(scorer.q_list_groups([2, 4, 1, 3], 2)[1], ql_a)
     # phrase columns are slices of the full-list scores
     full = scorer.q_phr_for(range(bl.size))
     assert np.array_equal(qp_a, full[:, [0, 1, 3]])
@@ -220,11 +225,42 @@ def test_group_scores_do_not_depend_on_other_groups():
 def test_group_without_gold_scores_near_zero():
     v, bl, utt = _setup(spans=((2, 4, 1),))
     scorer = simulate.SyntheticScorer(utt, bl, v, simulate.NoiseSpec(seed=2))
-    ql, _ = scorer.score_group([2, 4])
+    ql = scorer.q_list_for([2, 4])
     assert ql[2] == 0.0 and ql[3] == 0.0
-    ql_gold, qp_gold = scorer.score_group([1, 4])
-    assert ql_gold[2] == 1.0
+    assert scorer.q_list_for([1, 4])[2] == 1.0
+    qp_gold = scorer.q_phr_for([0, 1, 4])
     assert np.argmax(qp_gold[2]) == 1  # gold column right after no-bias
+    ql_groups = scorer.q_list_groups([2, 4, 1, 4], 2)
+    assert ql_groups[0, 2] == 0.0 and ql_groups[1, 2] == 1.0
+
+
+def test_q_list_groups_rows_equal_q_list_for():
+    # every noise channel on, a long list, ragged last groups, groups with
+    # and without evidence-bearing members, and two-span utterances whose
+    # golds land in different groups
+    config = ExperimentConfig(
+        n_utterances=30, two_span_rate=0.5, label_flip_rate=0.1, score_jitter_sigma=0.4,
+        confusion_rate=0.3, distractor_boost=0.5,
+    )
+    corp = generate_corpus(config)
+    bl = corp.lists[601]
+    rng = np.random.default_rng(3)
+    for utt in corp.utterances:
+        scorer = simulate.SyntheticScorer(utt, bl, corp.vocabulary, config.noise_for(1))
+        members = rng.permutation(np.arange(1, bl.size))[: int(rng.integers(1, bl.size))]
+        for group_size in (1, 7, 75, members.size, members.size + 3):
+            rows = scorer.q_list_groups(members, group_size)
+            assert rows.shape == (-(-members.size // group_size), utt.n_steps)
+            for g, row in enumerate(rows):
+                group = members[g * group_size : (g + 1) * group_size]
+                assert np.array_equal(row, scorer.q_list_for(group))
+                # the slow form: noise applied to the group's column max
+                slow = scorer._apply_list_noise(scorer._ev_list[:, group].max(axis=1))
+                assert np.array_equal(row, slow)
+    with pytest.raises(ValueError):
+        scorer.q_list_groups([], 3)
+    with pytest.raises(ValueError):
+        scorer.q_list_groups([1, 2], 0)
 
 
 def test_bundle_file_round_trip(tmp_path):
@@ -251,9 +287,6 @@ def test_prefix_slice_of_longest_scorer_matches_fresh_scorer():
     """A scorer built at the longest list, sliced to a prefix, gives exactly
     what a scorer built at that prefix gives; the sweep runner relies on it."""
     from ctxbias import purify
-    from ctxbias.harness.config import ExperimentConfig
-    from ctxbias.harness.corpusgen import generate_corpus
-
     cfg = ExperimentConfig(n_utterances=6, list_lengths=(51, 201, 601), group_size=75)
     corp = generate_corpus(cfg)
     spec = simulate.NoiseSpec(seed=4, label_flip_rate=0.1, score_jitter_sigma=0.3,

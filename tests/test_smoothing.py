@@ -58,6 +58,24 @@ def test_locate_window():
         smoothing.locate_window(q, 6, 0)
 
 
+def test_guided_smooth_windows_match_locate_window():
+    # oracle: pool over locate_window's start, step by step, for every
+    # window length 1..U, with ties in the list scores on even trials
+    rng = np.random.default_rng(7)
+    for trial in range(400):
+        n = int(rng.integers(1, 13))
+        q_list = rng.integers(0, 3, size=n) / 2.0 if trial % 2 == 0 else rng.uniform(size=n)
+        q_phr = rng.uniform(size=(n, 4))
+        for length in range(1, n + 1):
+            q_slist = np.full(n, length / n)
+            assert smoothing.estimate_phrase_length(q_slist) == length
+            starts = [smoothing.locate_window(q_list, length, u) for u in range(n)]
+            want = np.tanh(np.array([q_phr[j : j + length].sum(axis=0) for j in starts]))
+            got = smoothing.guided_phrase_smooth(q_phr, q_list, q_slist)
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+            assert np.array_equal(got, np.tanh(smoothing._box_sums(q_phr, length)[starts]))
+
+
 def test_guided_smooth_window_one_is_tanh():
     rng = np.random.default_rng(2)
     q_phr = rng.uniform(size=(5, 4))
