@@ -16,12 +16,11 @@ from ctxbias import (
     NoiseSpec,
     corr_scores,
     cross_attention,
-    make_labels,
     phrase_corr_from_heads,
 )
 from ctxbias.harness.config import ExperimentConfig
 from ctxbias.harness.corpusgen import generate_corpus
-from ctxbias.simulate import synth_bundle, synth_embeddings
+from ctxbias.simulate import SyntheticScorer, synth_embeddings
 
 
 def pick_spanned(corpus):
@@ -36,14 +35,13 @@ def main() -> None:
     corpus = generate_corpus(config)
     blist = corpus.lists[51]
     utt = pick_spanned(corpus)
-    labels = make_labels(utt, blist)
     span = utt.spans[0]
     print(f"utterance {utt.uid}: U={utt.n_steps}, gold phrase {span.phrase} "
           f"at steps [{span.start},{span.end})")
 
     for sigma in (0.0, 0.1, 0.5):
         spec = NoiseSpec(seed=11, score_jitter_sigma=sigma)
-        b = synth_bundle(utt, blist, labels, spec, corpus.vocabulary)
+        b = SyntheticScorer(utt, blist, corpus.vocabulary, spec).bundle()
         inside = b.q_list[span.start : span.end]
         outside = np.delete(b.q_list, np.arange(span.start, span.end))
         gold_col = b.q_phr[span.start : span.end, span.phrase]
@@ -55,7 +53,7 @@ def main() -> None:
     # scorer softens there but keeps the reference on top, which is the
     # disagreement the intersection later exploits
     spec = NoiseSpec(seed=11, confusion_rate=1.0)
-    b = synth_bundle(utt, blist, labels, spec, corpus.vocabulary)
+    b = SyntheticScorer(utt, blist, corpus.vocabulary, spec).bundle()
     step = span.start
     ref = utt.tokens[step]
     partner = corpus.vocabulary.confusable[ref]

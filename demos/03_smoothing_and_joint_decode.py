@@ -18,11 +18,10 @@ from ctxbias import (
     decode_utterance,
     estimate_phrase_length,
     locate_window,
-    make_labels,
 )
 from ctxbias.harness.config import ExperimentConfig
 from ctxbias.harness.corpusgen import generate_corpus
-from ctxbias.simulate import synth_bundle
+from ctxbias.simulate import SyntheticScorer
 
 
 def fmt(vals) -> str:
@@ -40,18 +39,16 @@ def main() -> None:
     noise = NoiseSpec(seed=2, score_jitter_sigma=0.15, confusion_rate=0.6)
     utt = next(u for u in corpus.utterances if len(u.spans) == 1)
     span = utt.spans[0]
-    bundle = synth_bundle(utt, blist, make_labels(utt, blist), noise, vocab)
+    bundle = SyntheticScorer(utt, blist, vocab, noise).bundle()
     print(f"{utt.uid}: U={utt.n_steps}, gold phrase {span.phrase} at "
           f"[{span.start},{span.end})")
 
-    res = decode_utterance(bundle, blist, phi, SmoothingParams(omega=0.6),
-                           collect_extras=True)
-    ex = res.extras
-    print("\nraw q_list:      ", fmt(ex["q_list"]))
-    print("smoothed q_slist:", fmt(ex["q_slist"]))
+    res = decode_utterance(bundle, blist, phi, SmoothingParams(omega=0.6))
+    print("\nraw q_list:      ", fmt(bundle.q_list))
+    print("smoothed q_slist:", fmt(res.weight))
 
-    length = estimate_phrase_length(ex["q_slist"])
-    start = locate_window(ex["q_list"], length, span.start)
+    length = estimate_phrase_length(res.weight)
+    start = locate_window(bundle.q_list, length, span.start)
     print(f"\nestimated window length {length} "
           f"(true span is {span.end - span.start} long)")
     print(f"window located from step {span.start}: starts at {start}")
@@ -80,7 +77,7 @@ def main() -> None:
     # crank the jitter and the repair stays partial: no full phrase
     # surfaces, so the guard falls back to the backbone
     rough = NoiseSpec(seed=2, score_jitter_sigma=0.3, confusion_rate=0.6)
-    bundle2 = synth_bundle(utt, blist, make_labels(utt, blist), rough, vocab)
+    bundle2 = SyntheticScorer(utt, blist, vocab, rough).bundle()
     res2 = decode_utterance(bundle2, blist, phi, SmoothingParams(omega=0.6))
     n2_bb = count_phrases(res2.hyp_bb, blist)
     n2_casr = count_phrases(res2.hyp_casr, blist)

@@ -19,13 +19,12 @@ from ctxbias import (
     build_phi,
     decode_utterance,
     gcp,
-    make_labels,
     ocp,
     restrict_phi,
 )
 from ctxbias.harness.config import ExperimentConfig
 from ctxbias.harness.corpusgen import generate_corpus
-from ctxbias.simulate import SyntheticScorer, synth_bundle
+from ctxbias.simulate import SyntheticScorer
 
 
 def main() -> None:
@@ -67,8 +66,7 @@ def main() -> None:
 
     # what purification buys at decode time
     phi = build_phi(blist, vocab)
-    labels = make_labels(utt, blist)
-    bundle = synth_bundle(utt, blist, labels, noise, vocab)
+    bundle = scorer.bundle()
 
     t0 = time.perf_counter()
     full = decode_utterance(bundle, blist, phi, SmoothingParams())
@@ -76,9 +74,8 @@ def main() -> None:
 
     t0 = time.perf_counter()
     pres = gcp(blist, scorer, params)
-    sub_phi, _ = restrict_phi(phi, pres.kept)
-    small = decode_utterance(scorer.bundle(pres.kept), blist.sublist(pres.kept), sub_phi,
-                             SmoothingParams())
+    small = decode_utterance(scorer.bundle(pres.kept), blist.sublist(pres.kept),
+                             restrict_phi(phi, pres.kept), SmoothingParams())
     t_small = time.perf_counter() - t0
 
     same = full.hyp_final == small.hyp_final

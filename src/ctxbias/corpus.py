@@ -59,18 +59,17 @@ class Vocabulary:
     def index(self, token: str) -> int:
         return self._index[token]
 
-    def encode(self, text: str, warn_unknown: bool = True) -> tuple[int, ...]:
+    def encode(self, text: str) -> tuple[int, ...]:
         """Map characters to ids; out-of-vocabulary characters become unknown."""
         ids = []
         for ch in text:
             idx = self._index.get(ch)
             if idx is None:
-                if warn_unknown:
-                    warnings.warn(
-                        f"character {ch!r} not in vocabulary, mapped to {UNKNOWN_TOKEN}",
-                        UnknownTokenWarning,
-                        stacklevel=2,
-                    )
+                warnings.warn(
+                    f"character {ch!r} not in vocabulary, mapped to {UNKNOWN_TOKEN}",
+                    UnknownTokenWarning,
+                    stacklevel=2,
+                )
                 idx = self.unknown_index
             ids.append(idx)
         return tuple(ids)

@@ -78,16 +78,21 @@ def _cmd_decode(args) -> int:
     phi = build_phi(biasing_list, corpus.vocabulary)
     scorer = SyntheticScorer(utt, biasing_list, corpus.vocabulary, cfg.noise_for(cfg.seed), phi)
     bundle = scorer.bundle()
-    res = decode_utterance(bundle, biasing_list, phi, cfg.smoothing,
-                           collect_extras=True)
+    res = decode_utterance(bundle, biasing_list, phi, cfg.smoothing)
     out = Path(args.out) if args.out else ensure_outdir(cfg) / f"{utt.uid}_M{m}.npz"
-    arrays = dict(res.extras)
-    arrays["p_bb"] = bundle.p_bb
-    arrays["hyp_bb"] = np.asarray(res.hyp_bb)
-    arrays["hyp_casr"] = np.asarray(res.hyp_casr)
-    arrays["hyp_final"] = np.asarray(res.hyp_final)
-    arrays["ref"] = np.asarray(utt.tokens)
-    np.savez(out, **arrays)
+    np.savez(
+        out,
+        q_list=np.asarray(bundle.q_list, dtype=float),
+        q_slist=res.weight,
+        q_sphr=res.q_sphr,
+        q_bias=res.q_bias,
+        q_casr=res.q_casr,
+        p_bb=bundle.p_bb,
+        hyp_bb=np.asarray(res.hyp_bb),
+        hyp_casr=np.asarray(res.hyp_casr),
+        hyp_final=np.asarray(res.hyp_final),
+        ref=np.asarray(utt.tokens),
+    )
     summary = {
         "uid": utt.uid,
         "list_length": m,

@@ -202,19 +202,6 @@ def load_config(path, apply_env: bool = True) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def default_config_text() -> str:
-    """INI text for the defaults, handy as a starting point."""
-    import io
-
-    buf = io.StringIO()
-    parser = configparser.ConfigParser()
-    cfg = ExperimentConfig()
-    for section, names in _SECTIONS.items():
-        parser[section] = {n: _format_value(getattr(cfg, n)) for n in names}
-    parser.write(buf)
-    return buf.getvalue()
-
-
 def ensure_outdir(config: ExperimentConfig) -> Path:
     out = Path(config.outdir)
     out.mkdir(parents=True, exist_ok=True)

@@ -114,9 +114,8 @@ def decode_one(
                 if method in PURIFY_METHODS:
                     pick = gcp if "gcp" in method else ocp
                     kept = pick(biasing_list, scorer, params).kept
-                    sub_phi, _ = restrict_phi(phi, kept)
                     res = decode_utterance(scorer.bundle(kept), biasing_list.sublist(kept),
-                                           sub_phi, config.smoothing)
+                                           restrict_phi(phi, kept), config.smoothing)
                 else:
                     bundle = scorer.bundle(np.arange(biasing_list.size))
                     if method.startswith("attn"):

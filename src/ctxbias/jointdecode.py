@@ -9,7 +9,6 @@ phrase-count comparison decides which one to keep.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +20,19 @@ from .smoothing import SmoothingParams, guided_phrase_smooth, triangular_smooth
 
 @dataclass(frozen=True, eq=False)
 class DecodeResult:
+    """Both hypotheses, the one the count guard kept, and the arrays that
+    produced them: the biased distribution, the per-step interpolation
+    weight, the pooled phrase correlations (joint decode only) and the
+    interpolated distribution. Without a real phrase in the list, q_bias
+    is uniform and nothing else is computed."""
+
     hyp_bb: tuple[int, ...]
     hyp_casr: tuple[int, ...]
     hyp_final: tuple[int, ...]
     q_bias: np.ndarray
-    wall_seconds: float
-    extras: dict | None = None
+    weight: np.ndarray | None = None
+    q_sphr: np.ndarray | None = None
+    q_casr: np.ndarray | None = None
 
 
 def joint_intersection(
@@ -85,55 +91,50 @@ def post_process(hyp_casr, hyp_bb, biasing_list: BiasingList) -> tuple[int, ...]
     return tuple(hyp_bb)
 
 
+def _guarded_decode(
+    bundle, biasing_list: BiasingList, q_bias, weight, q_sphr=None
+) -> DecodeResult:
+    """Everything after the biased distribution: interpolate it with the
+    backbone by the per-step weight, decode both greedily, and keep the
+    biased hypothesis only if the count guard allows."""
+    hyp_bb = greedy_decode(bundle.p_bb)
+    q_casr = interpolate(bundle.p_bb, q_bias, weight)
+    hyp_casr = greedy_decode(q_casr)
+    return DecodeResult(
+        hyp_bb=hyp_bb,
+        hyp_casr=hyp_casr,
+        hyp_final=post_process(hyp_casr, hyp_bb, biasing_list),
+        q_bias=q_bias,
+        weight=weight,
+        q_sphr=q_sphr,
+        q_casr=q_casr,
+    )
+
+
+def _backbone_only(bundle) -> DecodeResult:
+    """The list holds no real phrase, so the biased path cannot say
+    anything: q_bias is uniform and the backbone hypothesis stands."""
+    hyp_bb = greedy_decode(bundle.p_bb)
+    q_bias = np.full_like(bundle.p_bb, 1.0 / bundle.p_bb.shape[1])
+    return DecodeResult(hyp_bb=hyp_bb, hyp_casr=hyp_bb, hyp_final=hyp_bb, q_bias=q_bias)
+
+
 def decode_utterance(
-    bundle,
-    biasing_list: BiasingList,
-    phi: PhiMask,
-    params: SmoothingParams,
-    collect_extras: bool = False,
+    bundle, biasing_list: BiasingList, phi: PhiMask, params: SmoothingParams
 ) -> DecodeResult:
     """Full biased decode of one utterance.
 
     Smooth the list correlation, pool the phrase correlations over the
-    located window, intersect, interpolate, decode greedily twice, and
-    post-process. When the list holds no real phrase the biased path cannot
-    say anything, so the backbone hypothesis is returned directly.
+    located window and intersect; the smoothed list correlation is the
+    interpolation weight. When the list holds no real phrase, the backbone
+    hypothesis is returned directly.
     """
-    start = time.perf_counter()
-    hyp_bb = greedy_decode(bundle.p_bb)
     if biasing_list.size <= 1:
-        v = bundle.p_bb.shape[1]
-        q_bias = np.full_like(bundle.p_bb, 1.0 / v)
-        return DecodeResult(
-            hyp_bb=hyp_bb,
-            hyp_casr=hyp_bb,
-            hyp_final=hyp_bb,
-            q_bias=q_bias,
-            wall_seconds=time.perf_counter() - start,
-        )
+        return _backbone_only(bundle)
     q_slist = triangular_smooth(bundle.q_list, params)
     q_sphr = guided_phrase_smooth(bundle.q_phr, bundle.q_list, q_slist)
     q_bias = joint_intersection(q_slist, q_sphr, bundle.q_tok, phi)
-    q_casr = interpolate(bundle.p_bb, q_bias, q_slist)
-    hyp_casr = greedy_decode(q_casr)
-    hyp_final = post_process(hyp_casr, hyp_bb, biasing_list)
-    extras = None
-    if collect_extras:
-        extras = {
-            "q_list": np.asarray(bundle.q_list, dtype=float),
-            "q_slist": q_slist,
-            "q_sphr": q_sphr,
-            "q_bias": q_bias,
-            "q_casr": q_casr,
-        }
-    return DecodeResult(
-        hyp_bb=hyp_bb,
-        hyp_casr=hyp_casr,
-        hyp_final=hyp_final,
-        q_bias=q_bias,
-        wall_seconds=time.perf_counter() - start,
-        extras=extras,
-    )
+    return _guarded_decode(bundle, biasing_list, q_bias, q_slist, q_sphr)
 
 
 def attention_decode(bundle, biasing_list: BiasingList, phi: PhiMask) -> DecodeResult:
@@ -144,30 +145,12 @@ def attention_decode(bundle, biasing_list: BiasingList, phi: PhiMask) -> DecodeR
     under them, and interpolates with the raw (unsmoothed) list correlation.
     Kept only as a baseline for trend comparisons.
     """
-    start = time.perf_counter()
-    hyp_bb = greedy_decode(bundle.p_bb)
     if biasing_list.size <= 1:
-        v = bundle.p_bb.shape[1]
-        q_attn = np.full_like(bundle.p_bb, 1.0 / v)
-        return DecodeResult(
-            hyp_bb=hyp_bb,
-            hyp_casr=hyp_bb,
-            hyp_final=hyp_bb,
-            q_bias=q_attn,
-            wall_seconds=time.perf_counter() - start,
-        )
+        return _backbone_only(bundle)
     q_phr = np.asarray(bundle.q_phr, dtype=float)
     totals = np.maximum(q_phr.sum(axis=1, keepdims=True), 1e-12)
     weights = q_phr / totals
     mix = weights @ phi.matrix.astype(float)
     q_attn = softmax(mix * bundle.q_tok, axis=1)
-    q_casr = interpolate(bundle.p_bb, q_attn, np.asarray(bundle.q_list, dtype=float))
-    hyp_casr = greedy_decode(q_casr)
-    hyp_final = post_process(hyp_casr, hyp_bb, biasing_list)
-    return DecodeResult(
-        hyp_bb=hyp_bb,
-        hyp_casr=hyp_casr,
-        hyp_final=hyp_final,
-        q_bias=q_attn,
-        wall_seconds=time.perf_counter() - start,
-    )
+    return _guarded_decode(bundle, biasing_list, q_attn,
+                           np.asarray(bundle.q_list, dtype=float))

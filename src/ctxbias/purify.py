@@ -184,12 +184,12 @@ def ocp(biasing_list: BiasingList, scorer: GroupScorer, params: PurifyParams) ->
     return gcp(biasing_list, scorer, replace(params, group_size=max(1, n_real), n_r=1))
 
 
-def restrict_phi(phi: PhiMask, kept) -> tuple[PhiMask, np.ndarray]:
-    """Containment mask for the kept sublist, plus the active-token columns."""
+def restrict_phi(phi: PhiMask, kept) -> PhiMask:
+    """Containment mask for the kept sublist."""
     kept = np.asarray(list(kept), dtype=np.intp)
     if len(set(kept.tolist())) != kept.size:
         raise ValueError("kept indices must be distinct")
     if kept.size and (kept.min() < 0 or kept.max() >= phi.matrix.shape[0]):
         raise ValueError("kept index outside the mask")
-    sub = PhiMask(matrix=phi.matrix[kept].copy())
-    return sub, sub.matrix.any(axis=0)
+    # fancy indexing already copies the rows
+    return PhiMask(matrix=phi.matrix[kept])

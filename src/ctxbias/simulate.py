@@ -462,23 +462,6 @@ class SyntheticScorer:
         )
 
 
-def synth_bundle(
-    utt: Utterance,
-    biasing_list: BiasingList,
-    labels: ReferenceLabels,
-    spec: NoiseSpec,
-    vocab: Vocabulary,
-) -> CorrelationBundle:
-    """Correlation bundle for one utterance against the full list."""
-    if labels.y_tok.shape[0] != utt.n_steps or not np.array_equal(
-        labels.y_tok, np.asarray(utt.tokens)
-    ):
-        raise ValueError("labels do not match the utterance tokens")
-    if labels.y_phr.shape[0] != biasing_list.size:
-        raise ValueError("labels do not match the biasing list")
-    return SyntheticScorer(utt, biasing_list, vocab, spec).bundle()
-
-
 def save_bundle(bundle: CorrelationBundle, path) -> None:
     np.savez(
         path, q_list=bundle.q_list, q_phr=bundle.q_phr, q_tok=bundle.q_tok, p_bb=bundle.p_bb

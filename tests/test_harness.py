@@ -10,6 +10,7 @@ from ctxbias.harness import cli, config, corpusgen, report, runner
 from ctxbias.jointdecode import attention_decode, count_phrases, decode_utterance, greedy_decode
 from ctxbias.metrics import MetricsReport, cer
 from ctxbias.simulate import SyntheticScorer, synth_backbone
+from ctxbias.smoothing import guided_phrase_smooth, triangular_smooth
 
 
 def _small_config(**kw):
@@ -233,9 +234,8 @@ def _direct_decode(utt, biasing_list, vocab, cfg, method, seed):
     kept = None
     if "gcp" in method:
         kept = purify.gcp(biasing_list, scorer, cfg.purify_for(seed)).kept
-        sub_phi, _ = purify.restrict_phi(phi, kept)
-        res = decode_utterance(scorer.bundle(kept), biasing_list.sublist(kept), sub_phi,
-                               cfg.smoothing)
+        res = decode_utterance(scorer.bundle(kept), biasing_list.sublist(kept),
+                               purify.restrict_phi(phi, kept), cfg.smoothing)
     elif method == "attn":
         res = attention_decode(scorer.bundle(), biasing_list, phi)
     else:
@@ -454,7 +454,8 @@ def test_cli_sweep_then_report(tmp_path, capsys):
 
 
 def test_cli_gen_and_decode(tmp_path, capsys):
-    cfg = _small_config(n_utterances=6, outdir=str(tmp_path / "runs"))
+    cfg = _small_config(n_utterances=6, outdir=str(tmp_path / "runs"),
+                        confusion_rate=0.3, score_jitter_sigma=0.1)
     ini = tmp_path / "exp.ini"
     config.save_config(cfg, ini)
     assert cli.main(["gen", "--config", str(ini)]) == 0
@@ -471,8 +472,30 @@ def test_cli_gen_and_decode(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["uid"] == "utt0003"
     arrays = np.load(dump)
-    assert {"q_list", "q_slist", "q_sphr", "q_bias", "q_casr",
-            "p_bb", "hyp_bb", "hyp_final", "ref"} <= set(arrays.files)
+
+    # the same decode, run directly
+    corp = corpusgen.generate_corpus(cfg)
+    utt = next(u for u in corp.utterances if u.uid == "utt0003")
+    biasing_list = corp.lists[51]
+    phi = corpus_mod.build_phi(biasing_list, corp.vocabulary)
+    bundle = SyntheticScorer(utt, biasing_list, corp.vocabulary, cfg.noise_for(cfg.seed)).bundle()
+    res = decode_utterance(bundle, biasing_list, phi, cfg.smoothing)
+    q_slist = triangular_smooth(bundle.q_list, cfg.smoothing)
+    expected = {
+        "q_list": bundle.q_list,
+        "q_slist": q_slist,
+        "q_sphr": guided_phrase_smooth(bundle.q_phr, bundle.q_list, q_slist),
+        "q_bias": res.q_bias,
+        "q_casr": res.q_casr,
+        "p_bb": bundle.p_bb,
+        "hyp_bb": res.hyp_bb,
+        "hyp_casr": res.hyp_casr,
+        "hyp_final": res.hyp_final,
+        "ref": utt.tokens,
+    }
+    assert set(arrays.files) == set(expected)
+    for name, want in expected.items():
+        assert np.array_equal(arrays[name], np.asarray(want)), name
 
 
 def test_cli_reports_errors_as_json(tmp_path, capsys):

@@ -154,7 +154,7 @@ def test_zero_noise_batch_total_is_tiny():
             f"u{k}", tuple(toks), 2.0, (corpus.Span(2, 2 + len(phrase), m),)
         )
         labels = simulate.make_labels(utt, bl)
-        bundle = simulate.synth_bundle(utt, bl, labels, spec, v)
+        bundle = simulate.SyntheticScorer(utt, bl, v, spec).bundle()
         n_gold = labels.y_list.sum()
         s = labels.y_list.astype(float) @ bundle.q_phr / max(n_gold, 1)
         total += losses.total_loss(

@@ -296,15 +296,12 @@ def test_winner_count_bound_single_span():
 def test_restrict_phi():
     v, bl = _corpus_with_list(n_real=6)
     phi = corpus.build_phi(bl, v)
-    sub, active = purify.restrict_phi(phi, range(bl.size))
+    sub = purify.restrict_phi(phi, range(bl.size))
     assert np.array_equal(sub.matrix, phi.matrix)
-    sub, active = purify.restrict_phi(phi, [0])
-    assert np.array_equal(np.flatnonzero(active), [v.no_bias_index])
     kept = [0, 2, 5]
-    sub, active = purify.restrict_phi(phi, kept)
+    sub = purify.restrict_phi(phi, kept)
     rebuilt = corpus.build_phi(bl.sublist(kept), v)
     assert np.array_equal(sub.matrix, rebuilt.matrix)
-    assert np.array_equal(active, rebuilt.matrix.any(axis=0))
     with pytest.raises(ValueError):
         purify.restrict_phi(phi, [0, 99])
 

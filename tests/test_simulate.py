@@ -121,7 +121,7 @@ def test_backbone_ignores_jitter():
 def test_zero_noise_bundle_is_the_oracle():
     v, bl, utt = _setup(spans=((2, 4, 1),))
     labels = simulate.make_labels(utt, bl)
-    bundle = simulate.synth_bundle(utt, bl, labels, simulate.NoiseSpec(seed=9), v)
+    bundle = simulate.SyntheticScorer(utt, bl, v, simulate.NoiseSpec(seed=9)).bundle()
     assert np.array_equal(bundle.q_list, labels.y_list.astype(float))
     for u in (2, 3):
         row = bundle.q_phr[u]
@@ -155,9 +155,8 @@ def test_confused_token_rows_keep_reference_on_top():
 def test_full_label_flip_inverts_q_list():
     v, bl, utt = _setup(spans=((2, 4, 1),))
     labels = simulate.make_labels(utt, bl)
-    bundle = simulate.synth_bundle(
-        utt, bl, labels, simulate.NoiseSpec(seed=9, label_flip_rate=1.0), v
-    )
+    spec = simulate.NoiseSpec(seed=9, label_flip_rate=1.0)
+    bundle = simulate.SyntheticScorer(utt, bl, v, spec).bundle()
     assert np.array_equal(bundle.q_list, 1.0 - labels.y_list.astype(float))
 
 
@@ -177,7 +176,6 @@ def test_span_scores_stay_high_under_mild_jitter():
 
 def test_bundle_invariants_under_heavy_noise():
     v, bl, utt = _setup(spans=((2, 4, 1), (5, 8, 2)))
-    labels = simulate.make_labels(utt, bl)
     spec = simulate.NoiseSpec(
         seed=21,
         label_flip_rate=0.3,
@@ -185,12 +183,12 @@ def test_bundle_invariants_under_heavy_noise():
         confusion_rate=0.6,
         distractor_boost=0.8,
     )
-    bundle = simulate.synth_bundle(utt, bl, labels, spec, v)
+    bundle = simulate.SyntheticScorer(utt, bl, v, spec).bundle()
     assert np.allclose(bundle.q_tok.sum(axis=1), 1.0, atol=1e-9)
     assert np.allclose(bundle.p_bb.sum(axis=1), 1.0, atol=1e-9)
     assert bundle.q_list.min() >= 0 and bundle.q_list.max() <= 1
     assert bundle.q_phr.min() >= 0 and bundle.q_phr.max() <= 1
-    again = simulate.synth_bundle(utt, bl, labels, spec, v)
+    again = simulate.SyntheticScorer(utt, bl, v, spec).bundle()
     for name in ("q_list", "q_phr", "q_tok", "p_bb"):
         assert np.array_equal(getattr(bundle, name), getattr(again, name))
 
@@ -265,10 +263,8 @@ def test_q_list_groups_rows_equal_q_list_for():
 
 def test_bundle_file_round_trip(tmp_path):
     v, bl, utt = _setup(spans=((2, 4, 1),))
-    labels = simulate.make_labels(utt, bl)
-    bundle = simulate.synth_bundle(
-        utt, bl, labels, simulate.NoiseSpec(seed=1, score_jitter_sigma=0.1), v
-    )
+    spec = simulate.NoiseSpec(seed=1, score_jitter_sigma=0.1)
+    bundle = simulate.SyntheticScorer(utt, bl, v, spec).bundle()
     path = tmp_path / "bundle.npz"
     simulate.save_bundle(bundle, path)
     loaded = simulate.load_bundle(path)
