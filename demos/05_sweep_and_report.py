@@ -31,14 +31,15 @@ def main() -> None:
           f"({len(config.methods)} methods x {len(config.list_lengths)} lengths "
           f"x {config.n_seeds} seeds)")
 
-    outdir = Path(tempfile.mkdtemp(prefix="ctxbias_demo_"))
-    written = emit_report(cells, outdir)
-    print(f"wrote {len(written)} files under {outdir}")
+    with tempfile.TemporaryDirectory(prefix="ctxbias_demo_") as tmp:
+        outdir = Path(tmp)
+        written = emit_report(cells, outdir)
+        print(f"wrote {len(written)} files under {outdir}")
 
-    print("\n" + (outdir / "report.txt").read_text(encoding="utf-8"))
+        print("\n" + (outdir / "report.txt").read_text(encoding="utf-8"))
 
-    # cells round-trip: the table can be rebuilt without rerunning
-    records = read_cells(outdir)
+        # cells round-trip: the table can be rebuilt without rerunning
+        records = read_cells(outdir)
     first = records[0]
     print(f"reloaded {len(records)} cell records; first: "
           f"method={first['method']} M={first['list_length']} "

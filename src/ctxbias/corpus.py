@@ -161,14 +161,24 @@ class BiasingList:
         return np.arange(1, self.size)
 
     def sublist(self, kept) -> "BiasingList":
-        """Restriction to the given original indices (must include index 0)."""
+        """Restriction to the given original indices, in the given order.
+
+        The indices must be distinct and in range, and the first must be the
+        no-bias entry 0; anything else raises ``ValueError``.
+        """
         kept = list(kept)
         if not kept or kept[0] != 0:
             raise ValueError("a sublist must keep the no-bias entry at index 0")
-        return BiasingList(
-            phrases=tuple(self.phrases[m] for m in kept),
-            no_bias_token=self.no_bias_token,
-        )
+        if min(kept) < 0 or max(kept) >= self.size:
+            raise ValueError(f"sublist index outside 0..{self.size - 1}")
+        if len(set(kept)) != len(kept):
+            raise ValueError("sublist indices must be distinct")
+        # distinct phrases of a valid list, no-bias first, form a valid list:
+        # skip re-validating them
+        sub = object.__new__(BiasingList)
+        object.__setattr__(sub, "phrases", tuple(self.phrases[m] for m in kept))
+        object.__setattr__(sub, "no_bias_token", self.no_bias_token)
+        return sub
 
 
 def make_biasing_list(token_seqs, vocab: Vocabulary) -> BiasingList:
@@ -250,6 +260,13 @@ class PhiMask:
         token_of, phrases = np.nonzero(self.matrix.T)
         tokens, starts = np.unique(token_of, return_index=True)
         return tokens, starts, phrases
+
+    @cached_property
+    def token_sets(self) -> tuple[np.ndarray, np.ndarray]:
+        """The mask as a bool matrix, and each phrase's number of distinct
+        tokens (its row sum)."""
+        mask = self.matrix.astype(bool)
+        return mask, mask.sum(axis=1)
 
 
 def scan_occurrences(tokens, biasing_list: BiasingList) -> tuple[tuple[int, int], ...]:

@@ -41,6 +41,8 @@ def cer(hyp, ref) -> tuple[float, int, int, int]:
     ref = tuple(ref)
     if not ref:
         raise ValueError("reference must be nonempty")
+    if hyp == ref:
+        return 0.0, 0, 0, 0  # what the DP and its backtrace give
     h, r = len(hyp), len(ref)
     dist = [[0] * (r + 1) for _ in range(h + 1)]
     for i in range(1, h + 1):

@@ -261,7 +261,8 @@ def _jitter(
     if sigma == 0.0:
         return x
     base = logit(np.clip(x, floor, JITTER_CAP))
-    return expit(base + gain * sigma * z)
+    base += gain * sigma * z
+    return expit(base)
 
 
 class SyntheticScorer:
@@ -355,23 +356,23 @@ class SyntheticScorer:
         concentrates the boost on near-complete overlaps, so partial
         sharers stay well below the gold score.
         """
-        mat = self.phi.matrix.astype(bool)
-        set_sizes = np.maximum(mat.sum(axis=1), 1)
-        draws = rng.uniform_field(
-            rng.stream_key(self.spec.seed, "dst", self.utt.uid),
-            rng.grid_index(self._u, self._m),
-        )
-        r = 1.0 - draws  # (0,1], keeps boost**r away from the r=0 degeneracy
+        mat, set_sizes = self.phi.token_sets
+        set_sizes = np.maximum(set_sizes, 1)
+        key = rng.stream_key(self.spec.seed, "dst", self.utt.uid)
         log_boost = np.log(self.spec.distractor_boost)
         for s in self.utt.spans:
-            shared = (mat & mat[s.phrase]).sum(axis=1)
-            frac = shared / set_sizes
-            sharers = (shared > 0) & (np.arange(self._m) != s.phrase)
-            sharers[0] = False
+            shared = mat[:, mat[s.phrase]].sum(axis=1)
+            sharers = shared > 0
+            sharers[[0, s.phrase]] = False
             cols = np.flatnonzero(sharers)
             if cols.size == 0:
                 continue
-            vals = np.exp(r[s.start : s.end, cols] * log_boost) * frac[cols] ** 3
+            # only the span rows of the sharer columns are read, so only their
+            # cells of the (U, M) uniform grid are drawn
+            draws = rng.uniform_field(key, rng.grid_cells(np.arange(s.start, s.end), cols))
+            r = 1.0 - draws  # (0,1], keeps boost**r away from the r=0 degeneracy
+            frac = shared[cols] / set_sizes[cols]
+            vals = np.exp(r * log_boost) * frac**3
             block = ev[s.start : s.end, cols]
             np.maximum(block, vals, out=block)
             ev[s.start : s.end, cols] = block

@@ -62,6 +62,27 @@ def test_sublist_preserves_entries():
         bl.sublist([1, 2])
 
 
+def test_sublist_rejects_bad_indices_and_equals_a_validated_list():
+    v = _vocab()
+    bl = corpus.make_biasing_list([(2, 3), (4, 5), (6, 7), (3, 4), (8, 9, 10)], v)
+    for bad in ([0, -1], [0, 2, -5], [0, 6], [0, 99], [0, 2, 2], [0, 0], [0, 3, 1, 3]):
+        with pytest.raises(ValueError):
+            bl.sublist(bad)
+    with pytest.raises(ValueError):
+        bl.sublist([])
+    gen = np.random.default_rng(4)
+    for _ in range(50):
+        rest = gen.permutation(np.arange(1, bl.size))[: gen.integers(0, bl.size)]
+        kept = [0, *rest.tolist()]
+        sub = bl.sublist(kept)
+        validated = corpus.BiasingList(
+            phrases=tuple(bl.phrases[m] for m in kept), no_bias_token=bl.no_bias_token
+        )
+        assert sub == validated
+        assert sub._scan_index == validated._scan_index
+    assert bl.sublist(np.array([0, 4, 2])) == bl.sublist((0, 4, 2))
+
+
 def test_phi_mask_contents():
     v = _vocab()
     bl = corpus.make_biasing_list([(2, 3), (3, 4)], v)

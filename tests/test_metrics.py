@@ -47,6 +47,47 @@ def test_cer_matches_dp_oracle_and_counts_add_up():
         assert rate == pytest.approx(dist / len(ref))
 
 
+def _cer_dp(hyp, ref):
+    """The DP table and backtrace with no shortcut, kept as the oracle for
+    ``cer``'s identical-sequence fast path."""
+    h, r = len(hyp), len(ref)
+    dist = [[0] * (r + 1) for _ in range(h + 1)]
+    for i in range(1, h + 1):
+        dist[i][0] = i
+    for j in range(1, r + 1):
+        dist[0][j] = j
+    for i in range(1, h + 1):
+        for j in range(1, r + 1):
+            sub = dist[i - 1][j - 1] + (hyp[i - 1] != ref[j - 1])
+            dist[i][j] = min(sub, dist[i - 1][j] + 1, dist[i][j - 1] + 1)
+    s = ins = dele = 0
+    i, j = h, r
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (hyp[i - 1] != ref[j - 1]):
+            s += hyp[i - 1] != ref[j - 1]
+            i, j = i - 1, j - 1
+        elif j > 0 and dist[i][j] == dist[i][j - 1] + 1:
+            dele += 1
+            j -= 1
+        else:
+            ins += 1
+            i -= 1
+    return (s + ins + dele) / r, s, ins, dele
+
+
+def test_cer_identical_fast_path_matches_full_dp():
+    rng = np.random.default_rng(3)
+    pairs = [((1,), (1,)), ((4, 4, 4), (4, 4, 4)), ([1, 2, 3], (1, 2, 3))]
+    for _ in range(200):
+        ref = tuple(rng.integers(0, 4, size=rng.integers(1, 12)).tolist())
+        hyp = ref if rng.random() < 0.5 else tuple(rng.integers(0, 4, size=len(ref)).tolist())
+        pairs.append((hyp, ref))
+    for hyp, ref in pairs:
+        got, want = metrics.cer(hyp, ref), _cer_dp(tuple(hyp), tuple(ref))
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want] == [float, int, int, int]
+
+
 def test_edit_distance_is_a_metric():
     rng = np.random.default_rng(1)
     for _ in range(100):

@@ -1,4 +1,7 @@
+import hashlib
+
 import numpy as np
+import pytest
 
 from ctxbias import rng
 
@@ -52,3 +55,112 @@ def test_grid_index_row_major_uniqueness():
     assert idx.shape == (7, 9)
     assert len(np.unique(idx)) == 63
     assert idx.dtype == np.uint64
+
+
+# -- the numpy-scalar implementation, kept as the bit-level oracle -----------
+
+_R_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_R_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_R_MIX2 = np.uint64(0x94D049BB133111EB)
+_R_U53 = np.float64(1.0 / (1 << 53))
+
+
+def _ref_mix(x):
+    x = (x + _R_GOLDEN).astype(np.uint64) if isinstance(x, np.ndarray) else np.uint64(x + _R_GOLDEN)
+    x = x ^ (x >> np.uint64(30))
+    x = x * _R_MIX1
+    x = x ^ (x >> np.uint64(27))
+    x = x * _R_MIX2
+    return x ^ (x >> np.uint64(31))
+
+
+def _ref_part(part):
+    if isinstance(part, str):
+        digest = hashlib.blake2s(part.encode("utf-8"), digest_size=8).digest()
+        return np.uint64(int.from_bytes(digest, "little"))
+    return np.uint64(np.int64(part).view(np.uint64))
+
+
+def _ref_stream_key(*parts):
+    acc = np.uint64(0x6A09E667F3BCC908)
+    with np.errstate(over="ignore"):
+        for part in parts:
+            acc = _ref_mix(acc ^ _ref_part(part))
+    return acc
+
+
+def _ref_uniform_field(key, index):
+    idx = np.asarray(index, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        h = _ref_mix(idx * _R_GOLDEN ^ key)
+    return ((h >> np.uint64(11)).astype(np.float64)) * _R_U53
+
+
+def _ref_normal_field(key, index):
+    with np.errstate(over="ignore"):
+        k1 = _ref_mix(key ^ np.uint64(0x9E3779B97F4A7C15))
+        k2 = _ref_mix(key ^ np.uint64(0xC2B2AE3D27D4EB4F))
+    u1 = _ref_uniform_field(k1, index)
+    u2 = _ref_uniform_field(k2, index)
+    return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_stream_key_matches_reference():
+    gen = np.random.default_rng(11)
+    cases = [(), (0,), (7, "noise", 3), (-1,), (-5, "qphr", "utt0007"), ("",), ("ü",),
+             (2**63 - 1,), (-(2**63),), (True,), (np.int64(-3), "x"), (np.uint64(2**63 + 5),),
+             (np.int32(9),)]
+    cases += [tuple(int(p) for p in gen.integers(-(2**63), 2**63 - 1, size=3)) for _ in range(50)]
+    for parts in cases:
+        key = rng.stream_key(*parts)
+        assert type(key) is np.uint64
+        assert key == _ref_stream_key(*parts), parts
+
+
+def test_stream_key_rejects_parts_outside_int64_like_reference():
+    for part in (2**63, -(2**63) - 1, 2**70):
+        with pytest.raises(OverflowError):
+            _ref_stream_key(part)
+        with pytest.raises(OverflowError):
+            rng.stream_key(7, part)
+
+
+def test_fields_match_reference_bit_for_bit():
+    gen = np.random.default_rng(12)
+    indices = [
+        np.uint64(5),
+        np.array(7, dtype=np.uint64),
+        np.array([], dtype=np.uint64),
+        np.zeros((0, 4), dtype=np.uint64),
+        [1, 2, 3],
+        3,
+        np.arange(40),
+        gen.integers(0, 2**64, size=(17, 33), dtype=np.uint64),
+        np.array([2**63, 2**63 + 1, 2**64 - 1], dtype=np.uint64),
+        rng.grid_index(16, 1196),
+        rng.grid_index(5, 9) + np.uint64(2**32),  # rows shifted by one
+        rng.grid_index(3, 7)[:, ::2],  # non-contiguous
+    ]
+    keys = [rng.stream_key(1, "u"), np.uint64(0), np.uint64(2**64 - 1)]
+    keys += [np.uint64(k) for k in gen.integers(0, 2**64, size=12, dtype=np.uint64)]
+    for key in keys:
+        for index in indices:
+            for fast, ref in ((rng.uniform_field, _ref_uniform_field),
+                              (rng.normal_field, _ref_normal_field)):
+                got, want = fast(key, index), ref(key, index)
+                assert type(got) is type(want), (fast.__name__, type(index))
+                assert _same_bits(got, want), (fast.__name__, key, index)
+
+
+def test_grid_cells_are_the_grid_index_sub_block():
+    full = rng.grid_index(9, 30)
+    rows, cols = np.meshgrid(np.arange(9), np.arange(30), indexing="ij")
+    assert np.array_equal(full, rows.astype(np.uint64) * np.uint64(2**32) + cols.astype(np.uint64))
+    rows, cols = np.arange(2, 7), np.array([0, 3, 4, 29])
+    assert np.array_equal(rng.grid_cells(rows, cols), full[2:7][:, cols])
+    assert rng.grid_cells(rows, cols).dtype == np.uint64

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctxbias import corpus, simulate
+from ctxbias import corpus, rng, simulate
 from ctxbias.harness.config import ExperimentConfig
 from ctxbias.harness.corpusgen import generate_corpus
 
@@ -299,3 +299,58 @@ def test_prefix_slice_of_longest_scorer_matches_fresh_scorer():
                 assert np.array_equal(getattr(a, name), getattr(b, name)), (utt.uid, m, name)
             for pick in (purify.gcp, purify.ocp):
                 assert pick(bl, big, params).kept == pick(bl, fresh, params).kept
+
+
+def _dense_distractors(ev, scorer):
+    """The full-field formula, kept as the oracle for ``_apply_distractors``:
+    every (U, M) cell drawn, every span checked against the whole bool mask."""
+    spec, utt = scorer.spec, scorer.utt
+    u, m = ev.shape
+    mat = scorer.phi.matrix.astype(bool)
+    set_sizes = np.maximum(mat.sum(axis=1), 1)
+    draws = rng.uniform_field(rng.stream_key(spec.seed, "dst", utt.uid), rng.grid_index(u, m))
+    r = 1.0 - draws
+    log_boost = np.log(spec.distractor_boost)
+    for s in utt.spans:
+        shared = (mat & mat[s.phrase]).sum(axis=1)
+        frac = shared / set_sizes
+        sharers = (shared > 0) & (np.arange(m) != s.phrase)
+        sharers[0] = False
+        cols = np.flatnonzero(sharers)
+        if cols.size == 0:
+            continue
+        vals = np.exp(r[s.start : s.end, cols] * log_boost) * frac[cols] ** 3
+        block = ev[s.start : s.end, cols]
+        np.maximum(block, vals, out=block)
+        ev[s.start : s.end, cols] = block
+
+
+def test_distractors_match_dense_field_formula():
+    """Drawing only the read cells gives the dense formula's bits, and so do
+    the phrase scores built on top of them with every noise channel on."""
+    cfg = ExperimentConfig(n_utterances=40, list_lengths=(51, 1196))
+    corp = generate_corpus(cfg)
+    spec = simulate.NoiseSpec(seed=6, label_flip_rate=0.1, score_jitter_sigma=0.3,
+                              confusion_rate=0.3, distractor_boost=0.3)
+    checked = 0
+    for m in (51, 1196):
+        bl = corp.lists[m]
+        phi = corpus.build_phi(bl, corp.vocabulary)
+        for utt in corp.utterances:
+            scorer = simulate.SyntheticScorer(utt, bl, corp.vocabulary, spec, phi)
+            ev = scorer._ev_list.copy()
+            ev[:, 0] = 1.0 - scorer._y_list
+            want = ev.copy()
+            _dense_distractors(want, scorer)
+            scorer._apply_distractors(ev)
+            assert ev.tobytes() == want.tobytes(), (m, utt.uid)
+            z = rng.normal_field(rng.stream_key(spec.seed, "qphr", utt.uid),
+                                 rng.grid_index(utt.n_steps, m))
+            base = np.log(np.clip(want, simulate.PHRASE_JITTER_FLOOR, simulate.JITTER_CAP))
+            base -= np.log1p(-np.clip(want, simulate.PHRASE_JITTER_FLOOR, simulate.JITTER_CAP))
+            x = base + simulate.PHRASE_JITTER_GAIN * spec.score_jitter_sigma * z
+            q_phr = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                             np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+            assert scorer.q_phr_for(np.arange(m)).tobytes() == q_phr.tobytes(), (m, utt.uid)
+            checked += bool(utt.spans)
+    assert checked > 20  # the span utterances are where the distractors act
