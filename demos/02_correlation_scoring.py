@@ -12,15 +12,12 @@ two roads agree on where the span is.
 
 import numpy as np
 
-from ctxbias import (
-    NoiseSpec,
-    corr_scores,
-    cross_attention,
-    phrase_corr_from_heads,
-)
+from ctxbias import NoiseSpec
 from ctxbias.harness.config import ExperimentConfig
 from ctxbias.harness.corpusgen import generate_corpus
-from ctxbias.simulate import SyntheticScorer, synth_embeddings
+from ctxbias.reference.attention import corr_scores, cross_attention, phrase_corr_from_heads
+from ctxbias.reference.embeddings import synth_embeddings
+from ctxbias.simulate import SyntheticScorer
 
 
 def pick_spanned(corpus):

@@ -9,10 +9,10 @@ list phrases. Long lists are first shrunk by competitive purification.
 
 Everything runs on deterministic synthetic scores derived from ground
 truth plus controllable noise, so the decoding properties can be
-measured without a trained model.
+measured without a trained model. Training losses and the embedding
+scorer live in ``ctxbias.reference``, which no other module imports.
 """
 
-from .attention import corr_scores, cross_attention, phrase_corr_from_heads
 from .corpus import (
     BiasingList,
     PhiMask,
@@ -32,10 +32,9 @@ from .jointdecode import (
     joint_intersection,
     post_process,
 )
-from .losses import FocalParams, contrastive_loss, focal_loss, token_ce, total_loss
 from .metrics import MetricsReport, cer, phrase_prf, retention_rate, rtf
 from .purify import PurifyParams, PurifyResult, gcp, ocp, restrict_phi
-from .simulate import CorrelationBundle, NoiseSpec, SyntheticScorer, make_labels
+from .simulate import CorrelationBundle, NoiseSpec, SyntheticScorer
 from .smoothing import (
     SmoothingParams,
     estimate_phrase_length,
@@ -50,7 +49,6 @@ __all__ = [
     "BiasingList",
     "CorrelationBundle",
     "DecodeResult",
-    "FocalParams",
     "MetricsReport",
     "NoiseSpec",
     "PhiMask",
@@ -64,29 +62,21 @@ __all__ = [
     "attention_decode",
     "build_phi",
     "cer",
-    "contrastive_loss",
-    "corr_scores",
     "count_phrases",
-    "cross_attention",
     "decode_utterance",
     "estimate_phrase_length",
-    "focal_loss",
     "gcp",
     "greedy_decode",
     "guided_phrase_smooth",
     "interpolate",
     "joint_intersection",
     "locate_window",
-    "make_labels",
     "ocp",
-    "phrase_corr_from_heads",
     "phrase_prf",
     "post_process",
     "restrict_phi",
     "retention_rate",
     "rtf",
     "scan_occurrences",
-    "token_ce",
-    "total_loss",
     "triangular_smooth",
 ]

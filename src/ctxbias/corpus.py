@@ -8,6 +8,7 @@ stands for "this step relates to no phrase".
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -206,8 +207,8 @@ class Utterance:
     spans: tuple[Span, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.duration_seconds <= 0:
-            raise ValueError(f"utterance {self.uid}: duration must be positive")
+        if not (0.0 < self.duration_seconds < math.inf):
+            raise ValueError(f"utterance {self.uid}: duration_seconds must be positive and finite")
         last_end = 0
         for s in sorted(self.spans, key=lambda s: s.start):
             if not (0 <= s.start < s.end <= len(self.tokens)):
@@ -260,13 +261,6 @@ class PhiMask:
         token_of, phrases = np.nonzero(self.matrix.T)
         tokens, starts = np.unique(token_of, return_index=True)
         return tokens, starts, phrases
-
-    @cached_property
-    def token_sets(self) -> tuple[np.ndarray, np.ndarray]:
-        """The mask as a bool matrix, and each phrase's number of distinct
-        tokens (its row sum)."""
-        mask = self.matrix.astype(bool)
-        return mask, mask.sum(axis=1)
 
 
 def scan_occurrences(tokens, biasing_list: BiasingList) -> tuple[tuple[int, int], ...]:

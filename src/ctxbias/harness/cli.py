@@ -71,7 +71,7 @@ def _cmd_decode(args) -> int:
     if not matches:
         raise ValueError(f"no utterance named {args.utt!r}")
     utt = matches[0]
-    m = args.list_length or max(cfg.list_lengths)
+    m = max(cfg.list_lengths) if args.list_length is None else args.list_length
     if m not in corpus.lists:
         raise ValueError(f"list length {m} not in {sorted(corpus.lists)}")
     biasing_list = corpus.lists[m]

@@ -9,16 +9,12 @@ config describes an experiment family rather than a single run.
 from __future__ import annotations
 
 import configparser
-import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from ..purify import PurifyParams
 from ..simulate import NoiseSpec
 from ..smoothing import SmoothingParams
-
-ENV_SEED = "CTXBIAS_SEED"
-ENV_OUTDIR = "CTXBIAS_OUTDIR"
 
 KNOWN_METHODS = (
     "baseline",
@@ -174,7 +170,7 @@ def save_config(config: ExperimentConfig, path) -> None:
         parser.write(fh)
 
 
-def load_config(path, apply_env: bool = True) -> ExperimentConfig:
+def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     read = parser.read(path, encoding="utf-8")
     if not read:
@@ -194,11 +190,6 @@ def load_config(path, apply_env: bool = True) -> ExperimentConfig:
     }
     if extra:
         raise ValueError(f"unknown config entries: {sorted(extra)}")
-    if apply_env:
-        if ENV_SEED in os.environ:
-            values["seed"] = int(os.environ[ENV_SEED])
-        if ENV_OUTDIR in os.environ:
-            values["outdir"] = os.environ[ENV_OUTDIR]
     return ExperimentConfig(**values)
 
 

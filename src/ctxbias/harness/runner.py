@@ -24,6 +24,7 @@ elapsed wall clock.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -94,17 +95,15 @@ def decode_one(
     if "baseline" in config.methods:
         p_bb = synth_backbone(utt, noise, vocab)
 
-    scored: dict[tuple[int, ...], tuple[float, int, int, int]] = {}
-
-    def score(hyp):
-        # many cells decode to the same hypothesis; score each one once
-        if hyp not in scored:
-            scored[hyp] = cer(hyp, utt.tokens)
-        return scored[hyp]
+    # many cells decode to the same hypothesis: align each one against the
+    # reference once, and count its phrases once per list
+    score = functools.cache(lambda hyp: cer(hyp, utt.tokens))
 
     outcomes = {}
     for m, biasing_list in lists.items():
         phi = phis[m]
+        # phrases count against the cell list, purified or not
+        count = functools.cache(functools.partial(count_phrases, biasing_list=biasing_list))
         for method in config.methods:
             kept = None
             t0 = time.perf_counter()
@@ -125,13 +124,6 @@ def decode_one(
                 hyp_bb, hyp_casr, hyp_final = res.hyp_bb, res.hyp_casr, res.hyp_final
             wall = time.perf_counter() - t0
 
-            # post_process kept one of the two hypotheses, so the final one's
-            # numbers are the kept one's; phrases count against the cell list
-            count_bb = count_phrases(hyp_bb, biasing_list)
-            if hyp_final == hyp_bb:
-                count_final = count_bb
-            else:
-                count_final = count_phrases(hyp_final, biasing_list)
             hyp = hyp_final if method.endswith("_pp") else hyp_casr
             outcomes[(m, method)] = UttOutcome(
                 uid=utt.uid,
@@ -139,8 +131,8 @@ def decode_one(
                 kept=kept,
                 wall_seconds=wall,
                 edits=score(hyp)[1:],
-                count_bb=count_bb,
-                count_final=count_final,
+                count_bb=count(hyp_bb),
+                count_final=count(hyp_final),
                 cer_bb=score(hyp_bb)[0],
                 cer_final=score(hyp_final)[0],
             )

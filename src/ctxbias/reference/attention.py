@@ -1,9 +1,8 @@
 """Scaled dot-product cross-attention between acoustic steps and phrases.
 
 This is the scoring pathway that produces phrase-level correlations and
-biased embeddings from embedding banks. Projections default to identity
-(there are no trained weights here); optional projection matrices keep the
-API open for plugging in a real checkpoint.
+biased embeddings from embedding banks. Projections are the identity: there
+are no trained weights here.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import softmax
+from ..numeric import softmax
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,19 +31,12 @@ def corr_scores(e_acou: np.ndarray, e_phr: np.ndarray) -> np.ndarray:
     return (e_acou @ e_phr.T) / np.sqrt(d)
 
 
-def cross_attention(
-    e_acou: np.ndarray,
-    e_phr: np.ndarray,
-    n_heads: int = 1,
-    w_q: np.ndarray | None = None,
-    w_k: np.ndarray | None = None,
-    w_v: np.ndarray | None = None,
-) -> AttentionOutput:
+def cross_attention(e_acou: np.ndarray, e_phr: np.ndarray, n_heads: int = 1) -> AttentionOutput:
     """Multi-head cross-attention with the acoustic rows as queries.
 
     Heads split the embedding dimension evenly; per head, weights are the
     softmax over phrases of the scaled dot products, and the biased
-    embedding is the weight-averaged value rows. Head outputs concatenate
+    embedding is the weight-averaged phrase rows. Head outputs concatenate
     back to (U, d). The compound embedding adds the acoustic rows back in.
     """
     if e_acou.ndim != 2 or e_phr.ndim != 2 or e_acou.shape[1] != e_phr.shape[1]:
@@ -52,17 +44,13 @@ def cross_attention(
     d = e_acou.shape[1]
     if n_heads < 1 or d % n_heads != 0:
         raise ValueError(f"dimension {d} is not divisible into {n_heads} heads")
-    q = e_acou if w_q is None else e_acou @ w_q
-    k = e_phr if w_k is None else e_phr @ w_k
-    v = e_phr if w_v is None else e_phr @ w_v
-    u, m = q.shape[0], k.shape[0]
+    u, m = e_acou.shape[0], e_phr.shape[0]
     d_h = d // n_heads
-    qh = q.reshape(u, n_heads, d_h)
-    kh = k.reshape(m, n_heads, d_h)
-    vh = v.reshape(m, n_heads, d_h)
+    qh = e_acou.reshape(u, n_heads, d_h)
+    kh = e_phr.reshape(m, n_heads, d_h)
     scores = np.einsum("unc,mnc->umn", qh, kh) / np.sqrt(d_h)
     weights = softmax(scores, axis=1)
-    e_bias = np.einsum("umn,mnc->unc", weights, vh).reshape(u, d)
+    e_bias = np.einsum("umn,mnc->unc", weights, kh).reshape(u, d)
     return AttentionOutput(weights=weights, e_bias=e_bias, e_comp=e_bias + e_acou)
 
 

@@ -1,4 +1,5 @@
-"""Training losses for the three scorers, with closed-form gradients.
+"""Training losses for the three scorers, with closed-form gradients, and
+the ground-truth targets they train against.
 
 The package never trains anything; these exist as verified-numerics
 reference implementations, checkable against finite differences. Losses sum
@@ -11,7 +12,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..corpus import BiasingList, Utterance, validate_spans
+
 CLAMP = 1e-7
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceLabels:
+    """Ground truth targets: per-step list flags, per-phrase flags, tokens."""
+
+    y_list: np.ndarray
+    y_phr: np.ndarray
+    y_tok: np.ndarray
+
+
+def make_labels(utt: Utterance, biasing_list: BiasingList) -> ReferenceLabels:
+    """Ground-truth targets for one utterance.
+
+    y_list marks gold-span steps, y_phr marks the phrases the utterance
+    contains (one-hot at no-bias when it contains none), y_tok is the
+    reference itself.
+    """
+    validate_spans(utt, biasing_list)
+    u = utt.n_steps
+    y_list = np.zeros(u, dtype=np.uint8)
+    y_phr = np.zeros(biasing_list.size, dtype=np.uint8)
+    for s in utt.spans:
+        y_list[s.start : s.end] = 1
+        y_phr[s.phrase] = 1
+    if not utt.spans:
+        y_phr[0] = 1
+    return ReferenceLabels(y_list=y_list, y_phr=y_phr, y_tok=np.asarray(utt.tokens, dtype=np.intp))
 
 
 @dataclass(frozen=True)

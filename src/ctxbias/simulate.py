@@ -23,6 +23,7 @@ scores, which purification's group scoring relies on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,39 +80,9 @@ class NoiseSpec:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must lie in [0,1], got {v}")
-        if self.score_jitter_sigma < 0:
-            raise ValueError("score_jitter_sigma must be nonnegative")
-
-
-@dataclass(frozen=True, eq=False)
-class EmbeddingBank:
-    """Acoustic rows (one per step) and phrase rows (one per list entry)."""
-
-    acoustic: np.ndarray
-    phrase: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.acoustic.ndim != 2 or self.phrase.ndim != 2:
-            raise ValueError("embedding banks must be 2-d")
-        if self.acoustic.shape[1] != self.phrase.shape[1]:
-            raise ValueError("acoustic and phrase dimensions differ")
-        if not (np.isfinite(self.acoustic).all() and np.isfinite(self.phrase).all()):
-            raise ValueError("embeddings must be finite")
-        if np.any(np.linalg.norm(self.phrase, axis=1) == 0):
-            raise ValueError("phrase embeddings must have nonzero rows")
-
-    @property
-    def dim(self) -> int:
-        return self.acoustic.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class ReferenceLabels:
-    """Ground truth targets: per-step list flags, per-phrase flags, tokens."""
-
-    y_list: np.ndarray
-    y_phr: np.ndarray
-    y_tok: np.ndarray
+        sigma = self.score_jitter_sigma
+        if not (0.0 <= sigma < math.inf):
+            raise ValueError(f"score_jitter_sigma must be finite and nonnegative, got {sigma}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,61 +120,6 @@ class CorrelationBundle:
     @property
     def n_steps(self) -> int:
         return self.q_list.shape[0]
-
-
-def make_labels(utt: Utterance, biasing_list: BiasingList) -> ReferenceLabels:
-    """Ground-truth targets for one utterance.
-
-    y_list marks gold-span steps, y_phr marks the phrases the utterance
-    contains (one-hot at no-bias when it contains none), y_tok is the
-    reference itself.
-    """
-    validate_spans(utt, biasing_list)
-    u = utt.n_steps
-    y_list = np.zeros(u, dtype=np.uint8)
-    y_phr = np.zeros(biasing_list.size, dtype=np.uint8)
-    for s in utt.spans:
-        y_list[s.start : s.end] = 1
-        y_phr[s.phrase] = 1
-    if not utt.spans:
-        y_phr[0] = 1
-    return ReferenceLabels(y_list=y_list, y_phr=y_phr, y_tok=np.asarray(utt.tokens, dtype=np.intp))
-
-
-def _unit_rows(a: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(a, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return a / norms
-
-
-def synth_embeddings(
-    utt: Utterance, biasing_list: BiasingList, spec: NoiseSpec, d: int = 16
-) -> EmbeddingBank:
-    """Fabricate embeddings whose scaled dot products behave like scores.
-
-    Rows carry norm d**0.25, so (1/sqrt d) <a, b> equals the cosine of the
-    two rows. At zero jitter a gold-span acoustic row equals its phrase row;
-    jitter mixes in an orthogonal-ish noise direction, degrading the cosine.
-    """
-    if d < 8:
-        raise ValueError("embedding dimension must be at least 8")
-    m = biasing_list.size
-    u = utt.n_steps
-    e_phr = rng.normal_field(rng.stream_key(spec.seed, "ephr"), rng.grid_index(m, d))
-    e_phr = _unit_rows(e_phr)
-    e_aco = rng.normal_field(rng.stream_key(spec.seed, "eaco", utt.uid), rng.grid_index(u, d))
-    e_aco = _unit_rows(e_aco)
-    mix = min(1.0, spec.score_jitter_sigma) * rng.uniform_field(
-        rng.stream_key(spec.seed, "emix", utt.uid), np.arange(u, dtype=np.uint64)
-    )
-    for s in utt.spans:
-        for step in range(s.start, s.end):
-            t = mix[step]
-            row = (1.0 - t) * e_phr[s.phrase] + t * e_aco[step]
-            e_aco[step] = row
-    e_aco = _unit_rows(e_aco)
-    scale = d**0.25
-    return EmbeddingBank(acoustic=e_aco * scale, phrase=e_phr * scale)
 
 
 def synth_backbone(utt: Utterance, spec: NoiseSpec, vocab: Vocabulary) -> np.ndarray:
@@ -295,6 +211,9 @@ class SyntheticScorer:
         self._q_phr = self._build_phrase_scores()
         self._q_tok = self._build_token_scores()
         self._p_bb = synth_backbone(utt, spec, vocab)
+        # every bundle shares these two; they are never written after the build
+        self._q_tok.flags.writeable = False
+        self._p_bb.flags.writeable = False
         # the list-channel draws depend on the step alone, not on the queried
         # sublist; drawing them once keeps repeated group queries cheap
         steps = np.arange(self._u, dtype=np.uint64)
@@ -356,12 +275,11 @@ class SyntheticScorer:
         concentrates the boost on near-complete overlaps, so partial
         sharers stay well below the gold score.
         """
-        mat, set_sizes = self.phi.token_sets
-        set_sizes = np.maximum(set_sizes, 1)
+        mat = self.phi.matrix
         key = rng.stream_key(self.spec.seed, "dst", self.utt.uid)
         log_boost = np.log(self.spec.distractor_boost)
         for s in self.utt.spans:
-            shared = mat[:, mat[s.phrase]].sum(axis=1)
+            shared = mat[:, mat[s.phrase] > 0].sum(axis=1)
             sharers = shared > 0
             sharers[[0, s.phrase]] = False
             cols = np.flatnonzero(sharers)
@@ -371,7 +289,7 @@ class SyntheticScorer:
             # cells of the (U, M) uniform grid are drawn
             draws = rng.uniform_field(key, rng.grid_cells(np.arange(s.start, s.end), cols))
             r = 1.0 - draws  # (0,1], keeps boost**r away from the r=0 degeneracy
-            frac = shared[cols] / set_sizes[cols]
+            frac = shared[cols] / mat[cols].sum(axis=1)  # a sharer holds a token
             vals = np.exp(r * log_boost) * frac**3
             block = ev[s.start : s.end, cols]
             np.maximum(block, vals, out=block)
@@ -448,7 +366,8 @@ class SyntheticScorer:
     def bundle(self, members=None) -> CorrelationBundle:
         """Full scorer output against the list, or against the sublist of the
         given original indices (a prefix ``np.arange(m)`` is the list's first
-        m entries)."""
+        m entries). ``q_tok`` and ``p_bb`` are read-only views shared by every
+        bundle of this scorer."""
         if members is None:
             members = np.arange(self._m, dtype=np.intp)
         else:
@@ -458,8 +377,8 @@ class SyntheticScorer:
         return CorrelationBundle(
             q_list=self.q_list_for(members),
             q_phr=self.q_phr_for(members),
-            q_tok=self._q_tok.copy(),
-            p_bb=self._p_bb.copy(),
+            q_tok=self._q_tok.view(),
+            p_bb=self._p_bb.view(),
         )
 
 

@@ -13,14 +13,15 @@ import time
 import numpy as np
 import pytest
 
-from ctxbias import attention, corpus, losses, metrics, smoothing
+from ctxbias import corpus, metrics, smoothing
 from ctxbias.harness.config import ExperimentConfig
 from ctxbias.harness.corpusgen import generate_corpus
 from ctxbias.harness.report import emit_report
 from ctxbias.harness.runner import run_sweep
 from ctxbias.jointdecode import greedy_decode, interpolate
-from ctxbias.losses import FocalParams
 from ctxbias.numeric import softmax
+from ctxbias.reference import attention, losses
+from ctxbias.reference.losses import FocalParams
 
 BASE = ExperimentConfig(
     list_lengths=(51, 201, 601, 1196),

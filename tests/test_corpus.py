@@ -98,8 +98,9 @@ def test_utterance_span_validation():
         corpus.Utterance(uid, (2, 3, 4), 1.0, (corpus.Span(2, 5, 1),))
     with pytest.raises(ValueError, match="overlap"):
         corpus.Utterance(uid, (2, 3, 4, 5), 1.0, (corpus.Span(0, 2, 1), corpus.Span(1, 3, 2)))
-    with pytest.raises(ValueError, match="duration"):
-        corpus.Utterance(uid, (2, 3), 0.0)
+    for duration in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="duration_seconds"):
+            corpus.Utterance(uid, (2, 3), duration)
 
 
 def test_validate_spans_against_list():

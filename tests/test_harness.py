@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,20 +48,8 @@ def test_config_round_trip(tmp_path):
     )
     path = tmp_path / "exp.ini"
     config.save_config(cfg, path)
-    loaded = config.load_config(path, apply_env=False)
-    assert loaded == cfg
-
-
-def test_config_env_overrides(tmp_path, monkeypatch):
-    path = tmp_path / "exp.ini"
-    config.save_config(_small_config(), path)
-    monkeypatch.setenv(config.ENV_SEED, "7")
-    monkeypatch.setenv(config.ENV_OUTDIR, str(tmp_path / "elsewhere"))
     loaded = config.load_config(path)
-    assert loaded.seed == 7
-    assert loaded.outdir == str(tmp_path / "elsewhere")
-    # and they are ignored when not applied
-    assert config.load_config(path, apply_env=False).seed == 0
+    assert loaded == cfg
 
 
 def test_config_validation():
@@ -75,6 +67,9 @@ def test_config_validation():
         _small_config(n_seeds=0)
     with pytest.raises(ValueError):
         _small_config(methods=("joint", "joint"))
+    for sigma in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="score_jitter_sigma"):
+            _small_config(score_jitter_sigma=sigma)
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -82,7 +77,7 @@ def test_config_rejects_unknown_keys(tmp_path):
     config.save_config(_small_config(), path)
     path.write_text(path.read_text() + "\n[corpus]\nmystery = 3\n")
     with pytest.raises(Exception):
-        config.load_config(path, apply_env=False)
+        config.load_config(path)
 
 
 @pytest.mark.parametrize("key", ["alpha", "gamma"])
@@ -93,7 +88,7 @@ def test_config_rejects_removed_focal_keys(tmp_path, key):
     text = path.read_text().replace("[decode]\n", f"[decode]\n{key} = 0.5\n")
     path.write_text(text)
     with pytest.raises(ValueError, match="unknown config entries"):
-        config.load_config(path, apply_env=False)
+        config.load_config(path)
 
 
 # ---------------------------------------------------------------- corpus
@@ -287,7 +282,7 @@ def test_sweep_builds_one_scorer_per_utterance_seed(monkeypatch):
         distractor_boost=0.3,
     )
     corp = corpusgen.generate_corpus(cfg)
-    counts = {"scorers": 0, "cer": 0, "pools": 0}
+    counts = {"scorers": 0, "cer": 0, "pools": 0, "scans": 0}
 
     class CountingScorer(SyntheticScorer):
         def __init__(self, *args, **kwargs):
@@ -303,14 +298,22 @@ def test_sweep_builds_one_scorer_per_utterance_seed(monkeypatch):
         counts["cer"] += 1
         return cer(hyp, ref)
 
+    def counting_count_phrases(hyp, biasing_list):
+        counts["scans"] += 1
+        return count_phrases(hyp, biasing_list)
+
     monkeypatch.setattr(runner, "SyntheticScorer", CountingScorer)
     monkeypatch.setattr(runner, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(runner, "cer", counting_cer)
+    monkeypatch.setattr(runner, "count_phrases", counting_count_phrases)
     runner.run_sweep(cfg, corpus=corp)
     utt_seeds = 4 * 2
     assert counts["scorers"] == utt_seeds
     # at most two error-rate alignments per biased cell, one per baseline cell
     assert counts["cer"] <= utt_seeds * 4 * (3 * 2 + 1)
+    # per list length, the shared backbone hypothesis and each biased
+    # method's final one are scanned once each
+    assert utt_seeds * 4 <= counts["scans"] <= utt_seeds * 4 * (1 + 3)
     assert counts["pools"] == 0
 
     counts.update(scorers=0, cer=0)
@@ -509,6 +512,11 @@ def test_cli_reports_errors_as_json(tmp_path, capsys):
     assert cli.main(["decode", "--config", str(ini), "--utt", "nope"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
+    # only an absent flag means the longest list
+    assert cli.main(["decode", "--config", str(ini), "--utt", "utt0001",
+                     "--list-length", "0"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "list length 0" in err["message"]
 
 
 def test_cli_sweep_rejects_workers_below_one(tmp_path, capsys):
@@ -529,6 +537,20 @@ def test_cli_seed_override(tmp_path, capsys):
                      "--outdir", str(tmp_path / "b")]) == 0
     json.loads(capsys.readouterr().out)
     assert (tmp_path / "b" / "corpus" / "utterances.tsv").exists()
-    saved = config.load_config(tmp_path / "b" / "corpus" / "config.ini",
-                               apply_env=False)
+    saved = config.load_config(tmp_path / "b" / "corpus" / "config.ini")
     assert saved.seed == 3
+
+
+def test_core_imports_load_no_reference_module():
+    # the decode core and the harness never import ctxbias.reference
+    src = Path(corpus_mod.__file__).resolve().parents[1]
+    probe = (
+        "import sys, ctxbias, ctxbias.harness.runner, ctxbias.harness.cli\n"
+        "print([m for m in sys.modules if m.startswith('ctxbias') and"
+        " any(w in m for w in ('reference', 'losses', 'attention', 'embedding'))])"
+    )
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

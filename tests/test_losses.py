@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ctxbias import corpus, losses, simulate
+from ctxbias import corpus, simulate
+from ctxbias.reference import losses
 
 
 def test_focal_perfect_prediction_vanishes():
@@ -153,7 +154,7 @@ def test_zero_noise_batch_total_is_tiny():
         utt = corpus.Utterance(
             f"u{k}", tuple(toks), 2.0, (corpus.Span(2, 2 + len(phrase), m),)
         )
-        labels = simulate.make_labels(utt, bl)
+        labels = losses.make_labels(utt, bl)
         bundle = simulate.SyntheticScorer(utt, bl, v, spec).bundle()
         n_gold = labels.y_list.sum()
         s = labels.y_list.astype(float) @ bundle.q_phr / max(n_gold, 1)

@@ -4,6 +4,8 @@ import pytest
 from ctxbias import corpus, rng, simulate
 from ctxbias.harness.config import ExperimentConfig
 from ctxbias.harness.corpusgen import generate_corpus
+from ctxbias.reference.embeddings import synth_embeddings
+from ctxbias.reference.losses import make_labels
 
 
 def _vocab(n_chars: int = 20, seed: int = 3) -> corpus.Vocabulary:
@@ -25,7 +27,7 @@ def _setup(spans=((2, 4, 1),), n_utt_tokens: int = 8):
 
 def test_make_labels_single_span():
     v, bl, utt = _setup(spans=((2, 4, 1),))
-    labels = simulate.make_labels(utt, bl)
+    labels = make_labels(utt, bl)
     expect = np.zeros(8, dtype=np.uint8)
     expect[2:4] = 1
     assert np.array_equal(labels.y_list, expect)
@@ -35,14 +37,14 @@ def test_make_labels_single_span():
 
 def test_make_labels_no_span_points_at_no_bias():
     v, bl, utt = _setup(spans=())
-    labels = simulate.make_labels(utt, bl)
+    labels = make_labels(utt, bl)
     assert labels.y_list.sum() == 0
     assert labels.y_phr.tolist() == [1, 0, 0, 0, 0]
 
 
 def test_make_labels_two_spans():
     v, bl, utt = _setup(spans=((0, 2, 1), (4, 7, 2)))
-    labels = simulate.make_labels(utt, bl)
+    labels = make_labels(utt, bl)
     assert labels.y_phr.tolist() == [0, 1, 1, 0, 0]
     assert labels.y_list.tolist() == [1, 1, 0, 0, 1, 1, 1, 0]
 
@@ -51,25 +53,25 @@ def test_make_labels_rejects_foreign_span():
     v, bl, utt = _setup(spans=((2, 4, 1),))
     short = bl.sublist([0])
     with pytest.raises(ValueError):
-        simulate.make_labels(utt, short)
+        make_labels(utt, short)
 
 
 def test_embeddings_oracle_alignment_and_determinism():
     v, bl, utt = _setup()
     spec = simulate.NoiseSpec(seed=11)
-    bank = simulate.synth_embeddings(utt, bl, spec, d=16)
-    assert bank.dim == 16
+    bank = synth_embeddings(utt, bl, spec, d=16)
+    assert bank.acoustic.shape[1] == 16
     gold = bank.phrase[1]
     for u in (2, 3):
         cos = bank.acoustic[u] @ gold / (
             np.linalg.norm(bank.acoustic[u]) * np.linalg.norm(gold)
         )
         assert cos >= 0.9
-    again = simulate.synth_embeddings(utt, bl, spec, d=16)
+    again = synth_embeddings(utt, bl, spec, d=16)
     assert np.array_equal(bank.acoustic, again.acoustic)
     assert np.array_equal(bank.phrase, again.phrase)
     with pytest.raises(ValueError):
-        simulate.synth_embeddings(utt, bl, spec, d=4)
+        synth_embeddings(utt, bl, spec, d=4)
 
 
 def test_embeddings_degrade_with_jitter():
@@ -78,7 +80,7 @@ def test_embeddings_degrade_with_jitter():
     def mean_gold_cos(sigma):
         total = 0.0
         for seed in range(100):
-            bank = simulate.synth_embeddings(
+            bank = synth_embeddings(
                 utt, bl, simulate.NoiseSpec(seed=seed, score_jitter_sigma=sigma)
             )
             a = bank.acoustic[2] / np.linalg.norm(bank.acoustic[2])
@@ -120,7 +122,7 @@ def test_backbone_ignores_jitter():
 
 def test_zero_noise_bundle_is_the_oracle():
     v, bl, utt = _setup(spans=((2, 4, 1),))
-    labels = simulate.make_labels(utt, bl)
+    labels = make_labels(utt, bl)
     bundle = simulate.SyntheticScorer(utt, bl, v, simulate.NoiseSpec(seed=9)).bundle()
     assert np.array_equal(bundle.q_list, labels.y_list.astype(float))
     for u in (2, 3):
@@ -154,7 +156,7 @@ def test_confused_token_rows_keep_reference_on_top():
 
 def test_full_label_flip_inverts_q_list():
     v, bl, utt = _setup(spans=((2, 4, 1),))
-    labels = simulate.make_labels(utt, bl)
+    labels = make_labels(utt, bl)
     spec = simulate.NoiseSpec(seed=9, label_flip_rate=1.0)
     bundle = simulate.SyntheticScorer(utt, bl, v, spec).bundle()
     assert np.array_equal(bundle.q_list, 1.0 - labels.y_list.astype(float))
@@ -191,6 +193,12 @@ def test_bundle_invariants_under_heavy_noise():
     again = simulate.SyntheticScorer(utt, bl, v, spec).bundle()
     for name in ("q_list", "q_phr", "q_tok", "p_bb"):
         assert np.array_equal(getattr(bundle, name), getattr(again, name))
+    # q_tok and p_bb are the scorer's own arrays, shared by every bundle
+    for arr in (bundle.q_tok, bundle.p_bb):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True
 
 
 def test_distractor_boost_raises_token_sharers_only():
