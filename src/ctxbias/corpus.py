@@ -9,6 +9,7 @@ stands for "this step relates to no phrase".
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -150,13 +151,15 @@ class BiasingList:
         return len(self.phrases)
 
     @cached_property
-    def _scan_index(self) -> tuple[tuple[int, dict[tuple[int, ...], int]], ...]:
-        """Real phrases keyed by token tuple, grouped by length, longest first."""
-        by_len: dict[int, dict[tuple[int, ...], int]] = {}
-        for m in range(1, self.size):
-            t = self.phrases[m].tokens
-            by_len.setdefault(len(t), {})[t] = m
-        return tuple(sorted(by_len.items(), reverse=True))
+    def _scan_index(self) -> tuple[tuple[int, ...], frozenset[int], dict[tuple[int, ...], int]]:
+        """The distinct real-phrase lengths, longest first, the tokens a real
+        phrase starts with, and the real phrases keyed by token tuple; tuples
+        of different lengths never compare equal, so one table serves every
+        length."""
+        tokens = list(map(operator.attrgetter("tokens"), self.phrases[1:]))
+        lengths = tuple(sorted(set(map(len, tokens)), reverse=True))
+        firsts = frozenset(map(operator.itemgetter(0), tokens))
+        return lengths, firsts, dict(zip(tokens, range(1, self.size)))
 
     def real_indices(self) -> np.ndarray:
         return np.arange(1, self.size)
@@ -177,7 +180,7 @@ class BiasingList:
         # distinct phrases of a valid list, no-bias first, form a valid list:
         # skip re-validating them
         sub = object.__new__(BiasingList)
-        object.__setattr__(sub, "phrases", tuple(self.phrases[m] for m in kept))
+        object.__setattr__(sub, "phrases", tuple(map(self.phrases.__getitem__, kept)))
         object.__setattr__(sub, "no_bias_token", self.no_bias_token)
         return sub
 
@@ -258,9 +261,29 @@ class PhiMask:
         containing phrases then touch only the nonzeros
         (``np.maximum.reduceat(x[:, phrases], starts, axis=1)``).
         """
-        token_of, phrases = np.nonzero(self.matrix.T)
-        tokens, starts = np.unique(token_of, return_index=True)
-        return tokens, starts, phrases
+        # one flat nonzero over the transposed copy is far cheaper than a 2-d
+        # np.nonzero; its flat positions are token * M + phrase, ascending
+        flat = self.matrix.T.ravel().nonzero()[0]
+        token_of, phrases = np.divmod(flat, self.matrix.shape[0])
+        first = np.empty(token_of.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(token_of[1:], token_of[:-1], out=first[1:])
+        starts = first.nonzero()[0]
+        return token_of[starts], starts, phrases
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """The mask as a read-only float64 matrix, for products with scores."""
+        dense = self.matrix.astype(float)
+        dense.flags.writeable = False
+        return dense
+
+    @cached_property
+    def row_sizes(self) -> np.ndarray:
+        """The number of distinct tokens in each phrase, read-only."""
+        sizes = self.matrix.sum(axis=1)
+        sizes.flags.writeable = False
+        return sizes
 
 
 def scan_occurrences(tokens, biasing_list: BiasingList) -> tuple[tuple[int, int], ...]:
@@ -270,11 +293,11 @@ def scan_occurrences(tokens, biasing_list: BiasingList) -> tuple[tuple[int, int]
     and consumes its tokens. Returns (start, phrase_index) pairs in order.
     """
     seq = tuple(tokens)
-    index = biasing_list._scan_index
+    lengths, firsts, table = biasing_list._scan_index
     found: list[tuple[int, int]] = []
     i, n = 0, len(seq)
     while i < n:
-        for length, table in index:
+        for length in lengths if seq[i] in firsts else ():
             if i + length <= n:
                 m = table.get(seq[i : i + length])
                 if m is not None:

@@ -103,9 +103,9 @@ def decode_one(
     for m, biasing_list in lists.items():
         phi = phis[m]
         # phrases count against the cell list, purified or not
-        count = functools.cache(functools.partial(count_phrases, biasing_list=biasing_list))
+        counts: dict[tuple[int, ...], int] = {}
         for method in config.methods:
-            kept = None
+            kept = res = None
             t0 = time.perf_counter()
             if method == "baseline":
                 hyp_bb = hyp_casr = hyp_final = greedy_decode(p_bb)
@@ -124,6 +124,14 @@ def decode_one(
                 hyp_bb, hyp_casr, hyp_final = res.hyp_bb, res.hyp_casr, res.hyp_final
             wall = time.perf_counter() - t0
 
+            if res is not None and kept is None:
+                # an unpurified guard counted both hypotheses against the cell list
+                counts.setdefault(hyp_bb, res.count_bb)
+                counts.setdefault(hyp_casr, res.count_casr)
+            for h in (hyp_bb, hyp_final):
+                if h not in counts:
+                    counts[h] = count_phrases(h, biasing_list)
+
             hyp = hyp_final if method.endswith("_pp") else hyp_casr
             outcomes[(m, method)] = UttOutcome(
                 uid=utt.uid,
@@ -131,8 +139,8 @@ def decode_one(
                 kept=kept,
                 wall_seconds=wall,
                 edits=score(hyp)[1:],
-                count_bb=count(hyp_bb),
-                count_final=count(hyp_final),
+                count_bb=counts[hyp_bb],
+                count_final=counts[hyp_final],
                 cer_bb=score(hyp_bb)[0],
                 cer_final=score(hyp_final)[0],
             )

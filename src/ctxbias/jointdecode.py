@@ -15,20 +15,24 @@ import numpy as np
 
 from .corpus import BiasingList, PhiMask, scan_occurrences
 from .numeric import softmax
+from .simulate import CorrelationBundle
 from .smoothing import SmoothingParams, guided_phrase_smooth, triangular_smooth
 
 
 @dataclass(frozen=True, eq=False)
 class DecodeResult:
-    """Both hypotheses, the one the count guard kept, and the arrays that
+    """Both hypotheses, the one the count guard kept, the real-phrase counts
+    the guard compared (against the decoded list), and the arrays that
     produced them: the biased distribution, the per-step interpolation
     weight, the pooled phrase correlations (joint decode only) and the
     interpolated distribution. Without a real phrase in the list, q_bias
-    is uniform and nothing else is computed."""
+    is uniform, both counts are 0 and nothing else is computed."""
 
     hyp_bb: tuple[int, ...]
     hyp_casr: tuple[int, ...]
     hyp_final: tuple[int, ...]
+    count_bb: int
+    count_casr: int
     q_bias: np.ndarray
     weight: np.ndarray | None = None
     q_sphr: np.ndarray | None = None
@@ -80,15 +84,28 @@ def count_phrases(hyp, biasing_list: BiasingList) -> int:
     return len(scan_occurrences(hyp, biasing_list))
 
 
-def post_process(hyp_casr, hyp_bb, biasing_list: BiasingList) -> tuple[int, ...]:
+class GuardedHypothesis(tuple):
+    """The hypothesis the count guard kept, a token tuple that also carries
+    the two phrase counts the guard compared. It is a tuple rather than a
+    (tuple, counts) pair so that the decoders still make their scans inside
+    ``post_process``, the stage the benchmark's trace times."""
+
+    count_casr: int
+    count_bb: int
+
+
+def post_process(hyp_casr, hyp_bb, biasing_list: BiasingList) -> GuardedHypothesis:
     """Keep the biased hypothesis only if it detects strictly more phrases.
 
     Guards against over-biasing: a biased pass that did not surface any new
-    phrase has no business overriding the backbone.
+    phrase has no business overriding the backbone. The kept hypothesis
+    compares equal to a plain tuple and carries both counts.
     """
-    if count_phrases(hyp_casr, biasing_list) > count_phrases(hyp_bb, biasing_list):
-        return tuple(hyp_casr)
-    return tuple(hyp_bb)
+    n_casr = count_phrases(hyp_casr, biasing_list)
+    n_bb = count_phrases(hyp_bb, biasing_list)
+    kept = GuardedHypothesis(hyp_casr if n_casr > n_bb else hyp_bb)
+    kept.count_casr, kept.count_bb = n_casr, n_bb
+    return kept
 
 
 def _guarded_decode(
@@ -100,10 +117,13 @@ def _guarded_decode(
     hyp_bb = greedy_decode(bundle.p_bb)
     q_casr = interpolate(bundle.p_bb, q_bias, weight)
     hyp_casr = greedy_decode(q_casr)
+    kept = post_process(hyp_casr, hyp_bb, biasing_list)
     return DecodeResult(
         hyp_bb=hyp_bb,
         hyp_casr=hyp_casr,
-        hyp_final=post_process(hyp_casr, hyp_bb, biasing_list),
+        hyp_final=tuple(kept),
+        count_bb=kept.count_bb,
+        count_casr=kept.count_casr,
         q_bias=q_bias,
         weight=weight,
         q_sphr=q_sphr,
@@ -116,7 +136,26 @@ def _backbone_only(bundle) -> DecodeResult:
     anything: q_bias is uniform and the backbone hypothesis stands."""
     hyp_bb = greedy_decode(bundle.p_bb)
     q_bias = np.full_like(bundle.p_bb, 1.0 / bundle.p_bb.shape[1])
-    return DecodeResult(hyp_bb=hyp_bb, hyp_casr=hyp_bb, hyp_final=hyp_bb, q_bias=q_bias)
+    return DecodeResult(hyp_bb=hyp_bb, hyp_casr=hyp_bb, hyp_final=hyp_bb, count_bb=0,
+                        count_casr=0, q_bias=q_bias)
+
+
+def _entry(bundle, biasing_list: BiasingList, phi: PhiMask) -> CorrelationBundle:
+    """The bundle a decoder works on: a ``CorrelationBundle`` as it is (its
+    contract was checked when it was made), any other object with the four
+    arrays checked into one. Either way its phrase axis must match the list
+    and the mask, and its vocabulary axis the mask; else ``ValueError``."""
+    if not isinstance(bundle, CorrelationBundle):
+        bundle = CorrelationBundle(q_list=bundle.q_list, q_phr=bundle.q_phr,
+                                   q_tok=bundle.q_tok, p_bb=bundle.p_bb)
+    m, v = phi.matrix.shape
+    if bundle.q_phr.shape[1] != biasing_list.size or m != biasing_list.size:
+        raise ValueError(f"q_phr has {bundle.q_phr.shape[1]} phrase columns and phi "
+                         f"{m} rows, the biasing list {biasing_list.size} entries")
+    if bundle.q_tok.shape[1] != v:
+        raise ValueError(f"q_tok and p_bb have {bundle.q_tok.shape[1]} token columns, "
+                         f"phi has {v}")
+    return bundle
 
 
 def decode_utterance(
@@ -129,6 +168,7 @@ def decode_utterance(
     interpolation weight. When the list holds no real phrase, the backbone
     hypothesis is returned directly.
     """
+    bundle = _entry(bundle, biasing_list, phi)
     if biasing_list.size <= 1:
         return _backbone_only(bundle)
     q_slist = triangular_smooth(bundle.q_list, params)
@@ -145,12 +185,11 @@ def attention_decode(bundle, biasing_list: BiasingList, phi: PhiMask) -> DecodeR
     under them, and interpolates with the raw (unsmoothed) list correlation.
     Kept only as a baseline for trend comparisons.
     """
+    bundle = _entry(bundle, biasing_list, phi)
     if biasing_list.size <= 1:
         return _backbone_only(bundle)
-    q_phr = np.asarray(bundle.q_phr, dtype=float)
-    totals = np.maximum(q_phr.sum(axis=1, keepdims=True), 1e-12)
-    weights = q_phr / totals
-    mix = weights @ phi.matrix.astype(float)
+    totals = np.maximum(bundle.q_phr.sum(axis=1, keepdims=True), 1e-12)
+    weights = bundle.q_phr / totals
+    mix = weights @ phi.dense
     q_attn = softmax(mix * bundle.q_tok, axis=1)
-    return _guarded_decode(bundle, biasing_list, q_attn,
-                           np.asarray(bundle.q_list, dtype=float))
+    return _guarded_decode(bundle, biasing_list, q_attn, bundle.q_list)

@@ -99,26 +99,36 @@ def select_winners(q_list_g, q_phr_g, thres_list: float, n_top: int) -> tuple[in
     per-step winner sets are unioned. No confident step means no winners.
     Takes one group, q_list_g (U,) and q_phr_g (U, S), or G stacked groups
     of S slots, (G, U) and (G, U, S), and returns the sorted flat indices
-    g * S + s of the winners. Scores must be nonnegative.
+    g * S + s of the winners. Scores must be finite and nonnegative.
     """
     q_list_g = np.asarray(q_list_g, dtype=float)
     q_phr_g = np.asarray(q_phr_g, dtype=float)
-    confident = q_list_g > thres_list
-    by_group = confident.reshape(-1, confident.shape[-1])
-    vals = q_list_g[confident][:, None] * q_phr_g[confident]  # (steps, S)
-    slots = vals.shape[1]
+    if q_list_g.ndim == 1:  # one group
+        q_list_g, q_phr_g = q_list_g[None], q_phr_g[None]
+    slots = q_phr_g.shape[-1]
+    group, step = (q_list_g > thres_list).nonzero()  # group-major, so ascending
+    if not group.size:
+        return ()
+    vals = q_list_g[group, step][:, None] * q_phr_g[group, step]  # (steps, S)
     wins = vals > 0
     if n_top < slots:
-        # the n_top-th largest value per step; everything above it wins, and
-        # entries tied with it fill the remaining places in index order
-        kth = np.partition(vals, slots - n_top, axis=1)[:, slots - n_top, None]
-        above = vals > kth
-        tied = vals == kth
-        room = n_top - above.sum(axis=1, keepdims=True)
-        wins &= above | (tied & (np.cumsum(tied, axis=1) <= room))
-    won = np.zeros((by_group.shape[0], slots), dtype=bool)
-    np.logical_or.at(won, np.nonzero(by_group)[0], wins)
-    return tuple(np.flatnonzero(won).tolist())
+        # the n_top-th largest value per step; everything at or above it wins,
+        # unless ties with it overfill a step (at least n_top entries per step
+        # reach it, so some step holds more exactly when the total is larger):
+        # then the tied entries fill the remaining places in index order
+        ranked = vals.copy()
+        ranked.partition(slots - n_top, axis=1)
+        kth = ranked[:, slots - n_top, None]
+        at_least = vals >= kth
+        wins &= at_least
+        if np.count_nonzero(at_least) > n_top * vals.shape[0]:
+            tied = vals == kth
+            room = n_top - (vals > kth).sum(axis=1, keepdims=True)
+            wins &= ~tied | (np.cumsum(tied, axis=1) <= room)
+    # the union over each group's steps
+    won = np.zeros(q_phr_g.shape, dtype=bool)
+    won[group, step] = wins
+    return tuple(won.any(axis=1).ravel().nonzero()[0].tolist())
 
 
 def _checked(scores, shape: tuple, what: str) -> np.ndarray:
@@ -156,23 +166,22 @@ def gcp(biasing_list: BiasingList, scorer: GroupScorer, params: PurifyParams) ->
         q_list = _checked(scorer.q_list_groups(members, gs), (n_groups, None),
                           "q_list_groups")
         u = q_list.shape[1]
-        confident = (q_list > params.thres_list).any(axis=1)
-        # the confident groups' members, gs slots per group; only the last
-        # group can be short, and its empty slots (-1) score 0, so never win
-        slots = np.full(n_groups * gs, -1)
-        slots[: members.size] = members
-        slots = slots.reshape(n_groups, gs)[confident].ravel()
-        won = []
-        if slots.size:
-            filled = slots >= 0
-            q_phr = np.zeros((u, slots.size))
-            q_phr[:, filled] = _checked(
-                scorer.q_phr_for(slots[filled]), (u, int(filled.sum())), "q_phr_for"
-            )
-            q_phr = q_phr.reshape(u, -1, gs).transpose(1, 0, 2)
-            won = list(select_winners(q_list[confident], q_phr, params.thres_list,
-                                      params.n_top))
-        survivors = np.sort(slots[won])
+        confident = (q_list > params.thres_list).any(axis=1).nonzero()[0].tolist()
+        won = chosen = members[:0]
+        if confident:
+            # the confident groups' members, gs slots per group; only the
+            # round's last group can be short, and its empty slots get zero
+            # scores, which never win
+            chosen = np.concatenate([members[g * gs : (g + 1) * gs] for g in confident])
+            q_phr = _checked(scorer.q_phr_for(chosen), (u, chosen.size), "q_phr_for")
+            pad = len(confident) * gs - chosen.size
+            if pad:
+                q_phr = np.concatenate((q_phr, np.zeros((u, pad))), axis=1)
+            won = np.asarray(select_winners(q_list[confident],
+                                            q_phr.reshape(u, -1, gs).transpose(1, 0, 2),
+                                            params.thres_list, params.n_top), dtype=np.intp)
+        survivors = chosen[won]
+        survivors.sort()
         rounds.append(RoundAudit(groups=n_groups, survivors=survivors.size))
     kept = (0, *survivors.tolist())
     return PurifyResult(kept=kept, m_pur=len(kept), rounds=tuple(rounds))
@@ -186,10 +195,10 @@ def ocp(biasing_list: BiasingList, scorer: GroupScorer, params: PurifyParams) ->
 
 def restrict_phi(phi: PhiMask, kept) -> PhiMask:
     """Containment mask for the kept sublist."""
-    kept = np.asarray(list(kept), dtype=np.intp)
-    if len(set(kept.tolist())) != kept.size:
+    kept = list(kept)
+    if len(set(kept)) != len(kept):
         raise ValueError("kept indices must be distinct")
-    if kept.size and (kept.min() < 0 or kept.max() >= phi.matrix.shape[0]):
+    if kept and (min(kept) < 0 or max(kept) >= phi.matrix.shape[0]):
         raise ValueError("kept index outside the mask")
     # fancy indexing already copies the rows
     return PhiMask(matrix=phi.matrix[kept])

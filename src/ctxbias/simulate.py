@@ -91,6 +91,8 @@ class CorrelationBundle:
 
     q_list: (U,) in [0,1].  q_phr: (U, M) in [0,1], not row-normalized (each
     entry is a per-phrase relevance).  q_tok and p_bb: (U, V) row-stochastic.
+    U and M are at least 1. Every array holds real floating values and is
+    stored as float64; anything else raises ``ValueError`` naming the array.
     """
 
     q_list: np.ndarray
@@ -99,27 +101,55 @@ class CorrelationBundle:
     p_bb: np.ndarray
 
     def __post_init__(self) -> None:
+        for name, ndim in (("q_list", 1), ("q_phr", 2), ("q_tok", 2), ("p_bb", 2)):
+            a = np.asarray(getattr(self, name))
+            if a.ndim != ndim:
+                raise ValueError(f"{name} must be {ndim}-d, got shape {a.shape}")
+            if a.dtype.kind != "f":
+                raise ValueError(f"{name} must hold real floating values, got dtype {a.dtype}")
+            object.__setattr__(self, name, a.astype(np.float64, copy=False))
         u = self.q_list.shape[0]
-        if self.q_phr.shape[0] != u or self.q_tok.shape[0] != u or self.p_bb.shape[0] != u:
-            raise ValueError("bundle arrays disagree on the number of steps")
+        if u == 0:
+            raise ValueError("q_list has no steps")
+        for name in ("q_phr", "q_tok", "p_bb"):
+            steps = getattr(self, name).shape[0]
+            if steps != u:
+                raise ValueError(f"{name} has {steps} steps, q_list has {u}")
+        if self.q_phr.shape[1] == 0:
+            raise ValueError("q_phr has no phrase column")
         if self.q_tok.shape != self.p_bb.shape:
             raise ValueError("q_tok and p_bb must share a vocabulary axis")
-        for name in ("q_list", "q_phr", "q_tok", "p_bb"):
-            a = getattr(self, name)
-            if not np.isfinite(a).all():
-                raise ValueError(f"{name} contains non-finite values")
-            if a.min(initial=0.0) < 0:
-                raise ValueError(f"{name} contains negative values")
-        if self.q_list.max(initial=0.0) > 1 or self.q_phr.max(initial=0.0) > 1:
-            raise ValueError("correlations must lie in [0,1]")
-        for name in ("q_tok", "p_bb"):
-            sums = getattr(self, name).sum(axis=1)
-            if np.abs(sums - 1.0).max(initial=0.0) > 1e-9:
-                raise ValueError(f"{name} rows must sum to 1")
+        _check_values(self.q_list, self.q_phr, self.q_tok, self.p_bb)
+
+    @classmethod
+    def _of_checked(cls, q_list, q_phr, q_tok, p_bb) -> "CorrelationBundle":
+        """A bundle of float64 arrays the scorer took from arrays it checked
+        against the contract when it was built, so it is not checked again."""
+        bundle = object.__new__(cls)
+        for name, a in (("q_list", q_list), ("q_phr", q_phr), ("q_tok", q_tok), ("p_bb", p_bb)):
+            object.__setattr__(bundle, name, a)
+        return bundle
 
     @property
     def n_steps(self) -> int:
         return self.q_list.shape[0]
+
+
+def _check_values(q_list, q_phr, q_tok, p_bb) -> None:
+    """The value half of the bundle contract, for float64 arrays of any
+    shape: everything finite and nonnegative, the correlations at most 1,
+    and the rows of q_tok and p_bb summing to 1 within 1e-9."""
+    for name, a in (("q_list", q_list), ("q_phr", q_phr), ("q_tok", q_tok), ("p_bb", p_bb)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} contains non-finite values")
+        if a.min(initial=0.0) < 0:
+            raise ValueError(f"{name} contains negative values")
+    for name, a in (("q_list", q_list), ("q_phr", q_phr)):
+        if a.max(initial=0.0) > 1:
+            raise ValueError(f"{name} holds correlations above 1")
+    for name, a in (("q_tok", q_tok), ("p_bb", p_bb)):
+        if np.abs(a.sum(axis=-1) - 1.0).max(initial=0.0) > 1e-9:
+            raise ValueError(f"{name} rows must sum to 1")
 
 
 def synth_backbone(utt: Utterance, spec: NoiseSpec, vocab: Vocabulary) -> np.ndarray:
@@ -227,10 +257,24 @@ class SyntheticScorer:
             if spec.score_jitter_sigma > 0.0
             else None
         )
-        # most purification groups hold no evidence-bearing phrase at all;
-        # their list correlation is this one shared floor vector
-        self._ev_mask = self._ev_list.any(axis=0)
-        self._q_list_floor = self._apply_list_noise(np.zeros(self._u))
+        # a group's list correlation is the list noise applied to the largest
+        # evidence among its members, step by step, and that evidence is one
+        # of a few levels (0, ADJACENT_EVIDENCE, 1); the noise is elementwise,
+        # so it is applied once to every level at every step, and a query
+        # picks its entries from this (levels, U) table
+        ev_cols = np.flatnonzero(self._ev_list.any(axis=0))
+        ev = self._ev_list[:, ev_cols]
+        levels = np.unique(np.append(ev, 0.0))  # ascending, 0 first
+        self._list_table = self._apply_list_noise(np.repeat(levels[:, None], self._u, axis=1))
+        # per evidence-bearing column, the rank of its level at each step;
+        # ranks order as levels do, so a group's largest rank names its level
+        self._ev_rank = np.searchsorted(levels, ev)
+        self._ev_slot = np.full(self._m, -1, dtype=np.intp)
+        self._ev_slot[ev_cols] = np.arange(ev_cols.size)
+        self._steps = np.arange(self._u)
+        # everything a query hands out is taken from these arrays, so they are
+        # held to the bundle contract once, here
+        _check_values(self._list_table, self._q_phr, self._q_tok, self._p_bb)
 
     # -- evidence construction ------------------------------------------
 
@@ -289,7 +333,7 @@ class SyntheticScorer:
             # cells of the (U, M) uniform grid are drawn
             draws = rng.uniform_field(key, rng.grid_cells(np.arange(s.start, s.end), cols))
             r = 1.0 - draws  # (0,1], keeps boost**r away from the r=0 degeneracy
-            frac = shared[cols] / mat[cols].sum(axis=1)  # a sharer holds a token
+            frac = shared[cols] / self.phi.row_sizes[cols]  # a sharer holds a token
             vals = np.exp(r * log_boost) * frac**3
             block = ev[s.start : s.end, cols]
             np.maximum(block, vals, out=block)
@@ -339,19 +383,13 @@ class SyntheticScorer:
         members = np.asarray(members, dtype=np.intp)
         if members.size == 0 or group_size < 1:
             raise ValueError("need a nonempty member list and a positive group size")
-        out = np.repeat(self._q_list_floor[None], -(-members.size // group_size), axis=0)
-        # only groups holding an evidence-bearing member leave the floor; the
-        # other members' columns are all zero and evidence is nonnegative, so
-        # the max over the evidence-bearing members is the group's column max
-        pos = np.flatnonzero(self._ev_mask[members])
-        if pos.size:
-            group = pos // group_size  # ascending
-            first = np.ones(group.size, dtype=bool)
-            first[1:] = group[1:] != group[:-1]
-            first = np.flatnonzero(first)
-            ev = np.maximum.reduceat(self._ev_list[:, members[pos]], first, axis=1)
-            out[group[first]] = self._apply_list_noise(ev.T)
-        return out
+        # each group's largest evidence rank per step; groups without an
+        # evidence-bearing member stay at rank 0, evidence 0
+        rank = np.zeros((-(-members.size // group_size), self._u), dtype=np.intp)
+        slot = self._ev_slot[members]
+        pos = (slot >= 0).nonzero()[0]
+        np.maximum.at(rank, pos // group_size, self._ev_rank[:, slot[pos]].T)
+        return self._list_table[rank, self._steps]
 
     def q_list_for(self, members) -> np.ndarray:
         """List correlation against the sublist given by original indices."""
@@ -367,14 +405,16 @@ class SyntheticScorer:
         """Full scorer output against the list, or against the sublist of the
         given original indices (a prefix ``np.arange(m)`` is the list's first
         m entries). ``q_tok`` and ``p_bb`` are read-only views shared by every
-        bundle of this scorer."""
+        bundle of this scorer. Every array is taken from the arrays checked
+        against the bundle contract when the scorer was built, so the bundle
+        is not checked again."""
         if members is None:
             members = np.arange(self._m, dtype=np.intp)
         else:
             members = np.asarray(members, dtype=np.intp)
             if members.size == 0 or members[0] != 0:
                 raise ValueError("a sublist bundle must start with the no-bias entry")
-        return CorrelationBundle(
+        return CorrelationBundle._of_checked(
             q_list=self.q_list_for(members),
             q_phr=self.q_phr_for(members),
             q_tok=self._q_tok.view(),

@@ -92,6 +92,64 @@ def test_phi_mask_contents():
     assert phi.matrix[1, 2] == 1 and phi.matrix[1, 3] == 1 and phi.matrix[1, 4] == 0
 
 
+def _by_token_oracle(matrix):
+    """The token index by a 2-d nonzero and np.unique, the obvious build."""
+    token_of, phrases = np.nonzero(matrix.T)
+    tokens, starts = np.unique(token_of, return_index=True)
+    return tokens, starts, phrases
+
+
+def test_phi_mask_caches_equal_their_obvious_builds():
+    gen = np.random.default_rng(7)
+    shapes = [(1, 4), (5, 1), (0, 6), (6, 9), (40, 30), (300, 82)]
+    for m, v in shapes:
+        for density in (0.0, 0.05, 0.5, 1.0):
+            matrix = (gen.uniform(size=(m, v)) < density).astype(np.uint8)
+            phi = corpus.PhiMask(matrix=matrix)
+            for got, want in zip(phi.by_token, _by_token_oracle(matrix)):
+                assert got.dtype == want.dtype and np.array_equal(got, want), (m, v, density)
+            # the float form attention multiplies by, cached and read-only
+            assert phi.dense.dtype == np.float64
+            assert np.array_equal(phi.dense, matrix.astype(float))
+            assert phi.dense is phi.dense
+            with pytest.raises(ValueError, match="read-only"):
+                phi.dense[...] = 0.0
+            assert np.array_equal(phi.row_sizes, matrix.sum(axis=1))
+            with pytest.raises(ValueError, match="read-only"):
+                phi.row_sizes[...] = 0
+
+
+def _brute_force_scan(tokens, biasing_list):
+    """Longest match first at every position, trying every real phrase."""
+    seq, found, i = tuple(tokens), [], 0
+    ranked = sorted(range(1, biasing_list.size), key=lambda m: -len(biasing_list.phrases[m]))
+    while i < len(seq):
+        for m in ranked:
+            t = biasing_list.phrases[m].tokens
+            if seq[i : i + len(t)] == t:
+                found.append((i, m))
+                i += len(t)
+                break
+        else:
+            i += 1
+    return tuple(found)
+
+
+def test_scan_matches_brute_force_on_lists_and_sublists():
+    v = _vocab(n_chars=6)
+    gen = np.random.default_rng(11)
+    seqs = set()
+    while len(seqs) < 60:
+        seqs.add(tuple(gen.integers(2, v.size, size=int(gen.integers(2, 6))).tolist()))
+    bl = corpus.make_biasing_list(sorted(seqs), v)
+    for _ in range(40):
+        rest = gen.permutation(np.arange(1, bl.size))[: gen.integers(0, bl.size)]
+        sub = bl.sublist([0, *rest.tolist()])
+        for target in (bl, sub):
+            hyp = gen.integers(2, v.size, size=int(gen.integers(0, 30))).tolist()
+            assert corpus.scan_occurrences(hyp, target) == _brute_force_scan(hyp, target)
+
+
 def test_utterance_span_validation():
     uid = "u1"
     with pytest.raises(ValueError, match="out of range"):

@@ -311,9 +311,10 @@ def test_sweep_builds_one_scorer_per_utterance_seed(monkeypatch):
     assert counts["scorers"] == utt_seeds
     # at most two error-rate alignments per biased cell, one per baseline cell
     assert counts["cer"] <= utt_seeds * 4 * (3 * 2 + 1)
-    # per list length, the shared backbone hypothesis and each biased
-    # method's final one are scanned once each
-    assert utt_seeds * 4 <= counts["scans"] <= utt_seeds * 4 * (1 + 3)
+    # per list length, the baseline scans the shared backbone hypothesis;
+    # attn and joint reuse their guards' counts, and only a purified final
+    # hypothesis the guards did not count is scanned again
+    assert utt_seeds * 4 <= counts["scans"] <= utt_seeds * 4 * (1 + 1)
     assert counts["pools"] == 0
 
     counts.update(scorers=0, cer=0)
@@ -324,6 +325,12 @@ def test_sweep_builds_one_scorer_per_utterance_seed(monkeypatch):
     baseline_only = config.ExperimentConfig(**{**cfg.__dict__, "methods": ("baseline",)})
     runner.run_sweep(baseline_only, corpus=corp)
     assert counts["scorers"] == 0
+
+    # unpurified methods only: every count comes from the guards
+    counts.update(scans=0)
+    guarded = config.ExperimentConfig(**{**cfg.__dict__, "methods": ("attn", "joint_pp")})
+    runner.run_sweep(guarded, corpus=corp)
+    assert counts["scans"] == 0
 
 
 def test_sweep_rejects_lists_that_do_not_nest():

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -232,3 +234,30 @@ def test_attention_stub_decodes_clean_input():
     assert res.hyp_bb == utt.tokens
     assert res.hyp_final == utt.tokens
     assert np.allclose(res.q_bias.sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_decode_results_carry_the_guard_counts():
+    """Both decoders hand out the two phrase counts the guard compared,
+    counted against the decoded list, and the guard's answer is a plain
+    token tuple that also carries them, through a pickle too."""
+    config = ExperimentConfig(n_utterances=30, confusion_rate=0.3, distractor_boost=0.3,
+                              score_jitter_sigma=0.3)
+    corp = generate_corpus(config)
+    bl = corp.lists[201]
+    phi = corpus.build_phi(bl, corp.vocabulary)
+    kept_biased = 0
+    for utt in corp.utterances:
+        bundle = simulate.SyntheticScorer(utt, bl, corp.vocabulary, config.noise_for(1)).bundle()
+        for res in (jointdecode.decode_utterance(bundle, bl, phi, SmoothingParams()),
+                    jointdecode.attention_decode(bundle, bl, phi)):
+            assert res.count_bb == jointdecode.count_phrases(res.hyp_bb, bl)
+            assert res.count_casr == jointdecode.count_phrases(res.hyp_casr, bl)
+            assert type(res.hyp_final) is tuple
+            kept = jointdecode.post_process(res.hyp_casr, res.hyp_bb, bl)
+            assert kept == res.hyp_final
+            assert (kept.count_casr, kept.count_bb) == (res.count_casr, res.count_bb)
+            again = pickle.loads(pickle.dumps(kept))
+            assert again == kept and (again.count_casr, again.count_bb) == (kept.count_casr,
+                                                                            kept.count_bb)
+            kept_biased += res.hyp_final != res.hyp_bb
+    assert kept_biased  # the guard let some biased hypotheses through

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from ctxbias import corpus, purify, rng, simulate
+from ctxbias.harness.config import ExperimentConfig
+from ctxbias.harness.corpusgen import generate_corpus
 from ctxbias.purify import PurifyParams
 
 
@@ -311,3 +313,49 @@ def test_params_validation():
         PurifyParams(group_size=0)
     with pytest.raises(ValueError):
         PurifyParams(thres_list=1.5)
+
+
+def test_restriction_equals_its_from_scratch_builds():
+    """With every noise channel on, for the kept sets gcp and ocp choose and
+    for random ones: the restricted mask and its token index, the sublist's
+    scan index and the kept bundle all equal what is built from scratch for
+    the sublist, and the kept bundle passes the full bundle contract."""
+    config = ExperimentConfig(
+        n_utterances=12, two_span_rate=0.5, label_flip_rate=0.1, score_jitter_sigma=0.5,
+        confusion_rate=0.3, distractor_boost=0.5,
+    )
+    corp = generate_corpus(config)
+    bl = corp.lists[601]
+    phi = corpus.build_phi(bl, corp.vocabulary)
+    gen = np.random.default_rng(5)
+    for utt in corp.utterances:
+        scorer = simulate.SyntheticScorer(utt, bl, corp.vocabulary, config.noise_for(1), phi)
+        full = scorer.bundle()
+        simulate.CorrelationBundle(q_list=full.q_list, q_phr=full.q_phr, q_tok=full.q_tok,
+                                   p_bb=full.p_bb)
+        random_kept = gen.permutation(np.arange(1, bl.size))[: int(gen.integers(0, 200))]
+        for kept in (
+            purify.gcp(bl, scorer, config.purify_for(1)).kept,
+            purify.ocp(bl, scorer, config.purify_for(1)).kept,
+            (0, *random_kept.tolist()),
+            (0, *np.sort(random_kept).tolist()),
+        ):
+            sub = bl.sublist(kept)
+            validated = corpus.BiasingList(phrases=sub.phrases, no_bias_token=bl.no_bias_token)
+            assert sub._scan_index == validated._scan_index
+            restricted = purify.restrict_phi(phi, kept)
+            rebuilt = corpus.build_phi(validated, corp.vocabulary)
+            assert np.array_equal(restricted.matrix, rebuilt.matrix)
+            token_of, phrases = np.nonzero(rebuilt.matrix.T)
+            tokens, starts = np.unique(token_of, return_index=True)
+            for got, want in zip(restricted.by_token, (tokens, starts, phrases)):
+                assert np.array_equal(got, want)
+            bundle = scorer.bundle(kept)
+            checked = simulate.CorrelationBundle(
+                q_list=bundle.q_list, q_phr=bundle.q_phr, q_tok=bundle.q_tok, p_bb=bundle.p_bb
+            )
+            ev = scorer._ev_list[:, list(kept)].max(axis=1)
+            assert checked.q_list.tobytes() == scorer._apply_list_noise(ev).tobytes()
+            assert checked.q_phr.tobytes() == full.q_phr[:, list(kept)].tobytes()
+            assert checked.q_tok.tobytes() == full.q_tok.tobytes()
+            assert checked.p_bb.tobytes() == full.p_bb.tobytes()

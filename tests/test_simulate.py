@@ -1,11 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from ctxbias import corpus, rng, simulate
+from ctxbias import corpus, jointdecode, rng, simulate
 from ctxbias.harness.config import ExperimentConfig
 from ctxbias.harness.corpusgen import generate_corpus
 from ctxbias.reference.embeddings import synth_embeddings
 from ctxbias.reference.losses import make_labels
+from ctxbias.smoothing import SmoothingParams
 
 
 def _vocab(n_chars: int = 20, seed: int = 3) -> corpus.Vocabulary:
@@ -362,3 +365,112 @@ def test_distractors_match_dense_field_formula():
             assert scorer.q_phr_for(np.arange(m)).tobytes() == q_phr.tobytes(), (m, utt.uid)
             checked += bool(utt.spans)
     assert checked > 20  # the span utterances are where the distractors act
+
+
+def _contract_case():
+    """A valid bundle's arrays (U=4, M=3, V=4, every value exact in float32)
+    with a list and mask that fit it."""
+    v = _vocab(n_chars=2)  # V = 4: two reserved entries and two characters
+    bl = corpus.make_biasing_list([(2, 3), (3, 2)], v)
+    arrays = {
+        "q_list": np.array([0.0, 0.5, 1.0, 0.25]),
+        "q_phr": np.full((4, 3), 0.25),
+        "q_tok": np.full((4, 4), 0.25),
+        "p_bb": np.tile([0.5, 0.25, 0.125, 0.125], (4, 1)),
+    }
+    return bl, corpus.build_phi(bl, v), arrays
+
+
+def _put(name, fn):
+    return lambda a: {**a, name: fn(a[name])}
+
+
+def _poke(name, index, value):
+    def fn(x):
+        x = x.copy()
+        x[index] = value
+        return x
+
+    return _put(name, fn)
+
+
+MALFORMED_BUNDLES = {
+    "q_list-2d": (_put("q_list", lambda x: np.stack([x, x], axis=1)), "q_list"),
+    "q_list-0d": (_put("q_list", lambda x: x[1]), "q_list"),
+    "q_phr-1d": (_put("q_phr", lambda x: x[:, 0]), "q_phr"),
+    "q_phr-3d": (_put("q_phr", lambda x: x[..., None]), "q_phr"),
+    "q_tok-1d": (_put("q_tok", lambda x: x[0]), "q_tok"),
+    "p_bb-3d": (_put("p_bb", lambda x: x[None]), "p_bb"),
+    "q_list-bool": (_put("q_list", lambda x: x > 0.3), "q_list"),
+    "q_phr-int": (_put("q_phr", lambda x: (x * 4).astype(np.int64)), "q_phr"),
+    "q_tok-uint8": (_put("q_tok", lambda x: x.astype(np.uint8)), "q_tok"),
+    "p_bb-complex": (_put("p_bb", lambda x: x.astype(complex)), "p_bb"),
+    "no-steps": (lambda a: {k: x[:0] for k, x in a.items()}, "q_list"),
+    "no-phrase-column": (_put("q_phr", lambda x: x[:, :0]), "q_phr"),
+    "q_phr-steps": (_put("q_phr", lambda x: x[:-1]), "q_phr"),
+    "q_tok-steps": (_put("q_tok", lambda x: x[:-1]), "q_tok"),
+    "p_bb-vocabulary": (_put("p_bb", lambda x: x[:, :-1]), "p_bb"),
+    "q_list-nan": (_poke("q_list", 1, np.nan), "q_list"),
+    "q_phr-inf": (_poke("q_phr", (0, 1), np.inf), "q_phr"),
+    "q_phr--inf": (_poke("q_phr", (0, 1), -np.inf), "q_phr"),
+    "q_list-negative": (_poke("q_list", 0, -0.25), "q_list"),
+    "q_phr-above-1": (_poke("q_phr", (2, 2), 1.5), "q_phr"),
+    "q_tok-row-off": (_poke("q_tok", (3, 0), 0.25 + 2e-9), "q_tok"),
+    "p_bb-negative": (_poke("p_bb", (1, 1), -0.25), "p_bb"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BUNDLES))
+def test_malformed_bundles_are_rejected_where_they_enter(case, tmp_path):
+    """Each malformed bundle fails with a ValueError that names the array:
+    built directly, loaded from a file, or handed to either decoder as any
+    object carrying the four arrays."""
+    bl, phi, arrays = _contract_case()
+    damage, name = MALFORMED_BUNDLES[case]
+    bad = damage(arrays)
+    with pytest.raises(ValueError, match=name):
+        simulate.CorrelationBundle(**bad)
+    path = tmp_path / "bad.npz"
+    np.savez(path, **bad)
+    with pytest.raises(ValueError, match=name):
+        simulate.load_bundle(path)
+    with pytest.raises(ValueError, match=name):
+        jointdecode.decode_utterance(SimpleNamespace(**bad), bl, phi, SmoothingParams())
+    with pytest.raises(ValueError, match=name):
+        jointdecode.attention_decode(SimpleNamespace(**bad), bl, phi)
+
+
+def test_bundle_contract_accepts_and_casts_real_floats(tmp_path):
+    bl, phi, arrays = _contract_case()
+    assert simulate.CorrelationBundle(**arrays).q_phr is arrays["q_phr"]  # no copy
+    narrow = {k: x.astype(np.float32) for k, x in arrays.items()}
+    bundle = simulate.CorrelationBundle(**narrow)
+    for name, x in arrays.items():
+        assert getattr(bundle, name).dtype == np.float64
+        assert np.array_equal(getattr(bundle, name), x)
+    # a row 1e-9 off still sums to 1 within the tolerance
+    near = {**arrays, "q_tok": arrays["q_tok"].copy()}
+    near["q_tok"][3, 0] += 5e-10
+    simulate.CorrelationBundle(**near)
+    path = tmp_path / "narrow.npz"
+    np.savez(path, **narrow)
+    loaded = simulate.load_bundle(path)
+    assert loaded.p_bb.dtype == np.float64
+    want = jointdecode.decode_utterance(bundle, bl, phi, SmoothingParams())
+    got = jointdecode.decode_utterance(SimpleNamespace(**narrow), bl, phi, SmoothingParams())
+    assert got.hyp_final == want.hyp_final and np.array_equal(got.q_casr, want.q_casr)
+
+
+def test_decoders_reject_bundles_that_do_not_fit_the_list_or_mask():
+    bl, phi, arrays = _contract_case()
+    bundle = simulate.CorrelationBundle(**arrays)
+    longer = corpus.make_biasing_list([(2, 3), (3, 2), (2, 2)], _vocab(n_chars=2))
+    wider = corpus.PhiMask(np.zeros((3, 5), dtype=np.uint8))
+    for decode in (
+        lambda b, bl_, phi_: jointdecode.decode_utterance(b, bl_, phi_, SmoothingParams()),
+        jointdecode.attention_decode,
+    ):
+        with pytest.raises(ValueError, match="q_phr"):
+            decode(bundle, longer, corpus.build_phi(longer, _vocab(n_chars=2)))
+        with pytest.raises(ValueError, match="q_tok"):
+            decode(bundle, bl, wider)
