@@ -13,6 +13,7 @@ measured without a trained model. Training losses and the embedding
 scorer live in ``ctxbias.reference``, which no other module imports.
 """
 
+from .bundle import CorrelationBundle
 from .corpus import (
     BiasingList,
     PhiMask,
@@ -34,7 +35,7 @@ from .jointdecode import (
 )
 from .metrics import MetricsReport, cer, phrase_prf, retention_rate, rtf
 from .purify import PurifyParams, PurifyResult, gcp, ocp, restrict_phi
-from .simulate import CorrelationBundle, NoiseSpec, SyntheticScorer
+from .simulate import NoiseSpec, SyntheticScorer
 from .smoothing import (
     SmoothingParams,
     estimate_phrase_length,

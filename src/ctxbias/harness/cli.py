@@ -2,7 +2,8 @@
 
 Verbs:
   gen     write the synthetic corpus (utterances, biasing lists) to disk
-  decode  decode one utterance and dump every intermediate array
+  decode  decode one utterance (synthetic scores or a stored bundle) and dump
+          every intermediate array
   sweep   run the full method x list-length x seed matrix and report
   report  rebuild the aggregate table and CSV from existing cell JSONs
 
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..bundle import load_bundle
 from ..corpus import build_phi, save_biasing_list, save_utterances
 from ..jointdecode import decode_utterance
 from ..metrics import cer
@@ -76,23 +78,34 @@ def _cmd_decode(args) -> int:
         raise ValueError(f"list length {m} not in {sorted(corpus.lists)}")
     biasing_list = corpus.lists[m]
     phi = build_phi(biasing_list, corpus.vocabulary)
-    scorer = SyntheticScorer(utt, biasing_list, corpus.vocabulary, cfg.noise_for(cfg.seed), phi)
-    bundle = scorer.bundle()
+    if args.bundle is None:
+        noise = cfg.noise_for(cfg.seed)
+        bundle = SyntheticScorer(utt, biasing_list, corpus.vocabulary, noise, phi).bundle()
+    else:
+        # a stored bundle, as a real model would hand it over: the contract is
+        # checked on loading, its phrase and vocabulary axes by the decoder
+        bundle = load_bundle(args.bundle)
+        if bundle.n_steps != utt.n_steps:
+            raise ValueError(f"q_list has {bundle.n_steps} steps, utterance {utt.uid} "
+                             f"has {utt.n_steps}")
     res = decode_utterance(bundle, biasing_list, phi, cfg.smoothing)
     out = Path(args.out) if args.out else ensure_outdir(cfg) / f"{utt.uid}_M{m}.npz"
-    np.savez(
-        out,
-        q_list=np.asarray(bundle.q_list, dtype=float),
-        q_slist=res.weight,
-        q_sphr=res.q_sphr,
-        q_bias=res.q_bias,
-        q_casr=res.q_casr,
-        p_bb=bundle.p_bb,
-        hyp_bb=np.asarray(res.hyp_bb),
-        hyp_casr=np.asarray(res.hyp_casr),
-        hyp_final=np.asarray(res.hyp_final),
-        ref=np.asarray(utt.tokens),
-    )
+    # through an open file, so the arrays land at exactly the reported path
+    # (given a name, np.savez appends ".npz" to it)
+    with open(out, "wb") as f:
+        np.savez(
+            f,
+            q_list=np.asarray(bundle.q_list, dtype=float),
+            q_slist=res.weight,
+            q_sphr=res.q_sphr,
+            q_bias=res.q_bias,
+            q_casr=res.q_casr,
+            p_bb=bundle.p_bb,
+            hyp_bb=np.asarray(res.hyp_bb),
+            hyp_casr=np.asarray(res.hyp_casr),
+            hyp_final=np.asarray(res.hyp_final),
+            ref=np.asarray(utt.tokens),
+        )
     summary = {
         "uid": utt.uid,
         "list_length": m,
@@ -146,6 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--utt", required=True, help="utterance id, e.g. utt0007")
     dec.add_argument("--list-length", type=int, help="which swept list to use")
     dec.add_argument("--out", help="npz path for the intermediate arrays")
+    dec.add_argument("--bundle", metavar="FILE.npz",
+                     help="decode this stored bundle (save_bundle's format) instead of "
+                          "the synthetic scorer's")
     dec.set_defaults(fn=_cmd_decode)
 
     swp = sub.add_parser("sweep", parents=[common], help="run the full sweep")

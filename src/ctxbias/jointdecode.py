@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import BiasingList, PhiMask, scan_occurrences
 from .numeric import softmax
-from .simulate import CorrelationBundle
+from .bundle import CorrelationBundle
 from .smoothing import SmoothingParams, guided_phrase_smooth, triangular_smooth
 
 

@@ -14,6 +14,7 @@ over two uniform streams. Any rewrite must reproduce these bits exactly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -26,6 +27,12 @@ _U53 = 1.0 / (1 << 53)
 # the two sub-stream keys of a normal draw
 _NORMAL_K1 = 0x9E3779B97F4A7C15
 _NORMAL_K2 = 0xC2B2AE3D27D4EB4F
+# the same constants as numpy scalars, made once: building a np.uint64 costs
+# about as much as a small ufunc call
+_GOLDEN_U64 = np.uint64(_GOLDEN)
+_MIX1_U64 = np.uint64(_MIX1)
+_MIX2_U64 = np.uint64(_MIX2)
+_S11, _S27, _S30, _S31 = (np.uint64(n) for n in (11, 27, 30, 31))
 
 
 def _mix_int(x: int) -> int:
@@ -41,18 +48,25 @@ def _mix_int(x: int) -> int:
 def _mix_inplace(h: np.ndarray, tmp: np.ndarray) -> None:
     """splitmix64 finalizer over a uint64 buffer, in place, with ``tmp`` (same
     shape) as scratch; uint64 arithmetic wraps by design."""
-    h += np.uint64(_GOLDEN)
-    np.bitwise_xor(h, np.right_shift(h, np.uint64(30), out=tmp), out=h)
-    h *= np.uint64(_MIX1)
-    np.bitwise_xor(h, np.right_shift(h, np.uint64(27), out=tmp), out=h)
-    h *= np.uint64(_MIX2)
-    np.bitwise_xor(h, np.right_shift(h, np.uint64(31), out=tmp), out=h)
+    h += _GOLDEN_U64
+    np.bitwise_xor(h, np.right_shift(h, _S30, out=tmp), out=h)
+    h *= _MIX1_U64
+    np.bitwise_xor(h, np.right_shift(h, _S27, out=tmp), out=h)
+    h *= _MIX2_U64
+    np.bitwise_xor(h, np.right_shift(h, _S31, out=tmp), out=h)
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _str_to_int(part: str) -> int:
+    """A string part folded to 64 bits; a sweep asks for the same few tags
+    and utterance ids over and over, so the hashes are kept."""
+    digest = hashlib.blake2s(part.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
 
 
 def _part_to_int(part: int | str) -> int:
     if isinstance(part, str):
-        digest = hashlib.blake2s(part.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "little")
+        return _str_to_int(part)
     if isinstance(part, int):
         # negative seeds allowed; reinterpret as two's complement
         if not -(1 << 63) <= part < 1 << 63:
@@ -69,16 +83,19 @@ def stream_key(*parts: int | str) -> np.uint64:
     return np.uint64(acc)
 
 
-def _golden_index(index) -> np.ndarray:
-    """``index * GOLDEN`` as a fresh uint64 array (0-d for a scalar index)."""
+def _golden_index(index, rows: int = 1) -> np.ndarray:
+    """A fresh uint64 buffer of shape ``(rows, *index.shape)`` whose first row
+    holds ``index * GOLDEN``; the others are left for the caller to fill."""
     idx = np.asarray(index, dtype=np.uint64)
-    return np.multiply(idx, np.uint64(_GOLDEN), out=np.empty(idx.shape, np.uint64))
+    h = np.empty((rows, *idx.shape), np.uint64)
+    np.multiply(idx, _GOLDEN_U64, out=h[0, ...])
+    return h
 
 
-def _to_uniform(h: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Uniforms from a fresh buffer of ``index * GOLDEN ^ key``, in place."""
-    _mix_inplace(h, tmp)
-    h >>= np.uint64(11)
+def _to_uniform(h: np.ndarray) -> np.ndarray:
+    """Uniforms from a buffer of ``index * GOLDEN ^ key``, in place."""
+    _mix_inplace(h, np.empty_like(h))
+    h >>= _S11
     # below 2**53 every value converts exactly, and int64 converts faster
     out = h.view(np.float64)
     np.multiply(h.view(np.int64), _U53, out=out)
@@ -87,21 +104,24 @@ def _to_uniform(h: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
 def uniform_field(key: np.uint64, index: np.ndarray) -> np.ndarray:
     """Uniform [0, 1) values addressed by integer index under a stream key."""
-    h = _golden_index(index)
+    h = _golden_index(index)[0, ...]
     h ^= np.uint64(key)
     # a 0-d index gives a scalar, as numpy's scalar arithmetic does
-    return _to_uniform(h, np.empty_like(h))[()]
+    return _to_uniform(h)[()]
 
 
 def normal_field(key: np.uint64, index: np.ndarray) -> np.ndarray:
-    """Standard normal values addressed by integer index (Box-Muller)."""
+    """Standard normal values addressed by integer index (Box-Muller).
+
+    The two uniform streams, keyed by ``key`` folded with each sub-stream
+    key, are drawn together in one (2, ...) buffer; each row holds exactly
+    what ``uniform_field`` gives for its sub-key."""
     key = int(key)
-    golden = _golden_index(index)
-    tmp = np.empty_like(golden)
-    k1 = np.uint64(_mix_int(key ^ _NORMAL_K1))
-    u1 = _to_uniform(np.bitwise_xor(golden, k1, out=np.empty_like(golden)), tmp)
-    golden ^= np.uint64(_mix_int(key ^ _NORMAL_K2))
-    u2 = _to_uniform(golden, tmp)
+    h = _golden_index(index, 2)
+    np.bitwise_xor(h[0, ...], np.uint64(_mix_int(key ^ _NORMAL_K2)), out=h[1, ...])
+    h[0, ...] ^= np.uint64(_mix_int(key ^ _NORMAL_K1))
+    u = _to_uniform(h)
+    u1, u2 = u[0, ...], u[1, ...]
     # 1 - u1 lies in (0, 1], so the log is finite
     np.negative(u1, out=u1)
     np.log1p(u1, out=u1)

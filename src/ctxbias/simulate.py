@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import rng
+from .bundle import CorrelationBundle, _check_values
 from .corpus import BiasingList, PhiMask, Utterance, Vocabulary, build_phi, validate_spans
 from .numeric import expit, logit
 
@@ -49,6 +49,10 @@ TOKEN_CONFUSED_PARTNER = 0.30
 # present when jitter is active, so the zero-noise scores stay exact
 ADJACENT_EVIDENCE = 0.85
 
+# the values list evidence takes, ascending; evidence is held as ranks
+EVIDENCE_LEVELS = np.array([0.0, ADJACENT_EVIDENCE, 1.0])
+_ADJACENT_RANK, _SPAN_RANK = 1, 2
+
 # logit-space jitter: effective sd is gain * sigma, applied after clamping
 # scores into [floor, JITTER_CAP]; the list channel flutters hard (that is
 # what the smoothing is for) while the phrase matrix wobbles more gently,
@@ -63,6 +67,11 @@ JITTER_FLOOR = 1e-4
 PHRASE_JITTER_FLOOR = 6e-3
 
 TOKEN_JITTER_GAIN = 0.5
+
+# every normal draw lies within sqrt(-2 log 2**-53) < 8.6 of 0, and exp is
+# finite and nonzero on [-700, 700]
+_Z_BOUND = 8.6
+_EXP_SAFE = 700.0
 
 
 @dataclass(frozen=True)
@@ -85,73 +94,6 @@ class NoiseSpec:
             raise ValueError(f"score_jitter_sigma must be finite and nonnegative, got {sigma}")
 
 
-@dataclass(frozen=True, eq=False)
-class CorrelationBundle:
-    """Scorer outputs for one utterance against one biasing list.
-
-    q_list: (U,) in [0,1].  q_phr: (U, M) in [0,1], not row-normalized (each
-    entry is a per-phrase relevance).  q_tok and p_bb: (U, V) row-stochastic.
-    U and M are at least 1. Every array holds real floating values and is
-    stored as float64; anything else raises ``ValueError`` naming the array.
-    """
-
-    q_list: np.ndarray
-    q_phr: np.ndarray
-    q_tok: np.ndarray
-    p_bb: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name, ndim in (("q_list", 1), ("q_phr", 2), ("q_tok", 2), ("p_bb", 2)):
-            a = np.asarray(getattr(self, name))
-            if a.ndim != ndim:
-                raise ValueError(f"{name} must be {ndim}-d, got shape {a.shape}")
-            if a.dtype.kind != "f":
-                raise ValueError(f"{name} must hold real floating values, got dtype {a.dtype}")
-            object.__setattr__(self, name, a.astype(np.float64, copy=False))
-        u = self.q_list.shape[0]
-        if u == 0:
-            raise ValueError("q_list has no steps")
-        for name in ("q_phr", "q_tok", "p_bb"):
-            steps = getattr(self, name).shape[0]
-            if steps != u:
-                raise ValueError(f"{name} has {steps} steps, q_list has {u}")
-        if self.q_phr.shape[1] == 0:
-            raise ValueError("q_phr has no phrase column")
-        if self.q_tok.shape != self.p_bb.shape:
-            raise ValueError("q_tok and p_bb must share a vocabulary axis")
-        _check_values(self.q_list, self.q_phr, self.q_tok, self.p_bb)
-
-    @classmethod
-    def _of_checked(cls, q_list, q_phr, q_tok, p_bb) -> "CorrelationBundle":
-        """A bundle of float64 arrays the scorer took from arrays it checked
-        against the contract when it was built, so it is not checked again."""
-        bundle = object.__new__(cls)
-        for name, a in (("q_list", q_list), ("q_phr", q_phr), ("q_tok", q_tok), ("p_bb", p_bb)):
-            object.__setattr__(bundle, name, a)
-        return bundle
-
-    @property
-    def n_steps(self) -> int:
-        return self.q_list.shape[0]
-
-
-def _check_values(q_list, q_phr, q_tok, p_bb) -> None:
-    """The value half of the bundle contract, for float64 arrays of any
-    shape: everything finite and nonnegative, the correlations at most 1,
-    and the rows of q_tok and p_bb summing to 1 within 1e-9."""
-    for name, a in (("q_list", q_list), ("q_phr", q_phr), ("q_tok", q_tok), ("p_bb", p_bb)):
-        if not np.isfinite(a).all():
-            raise ValueError(f"{name} contains non-finite values")
-        if a.min(initial=0.0) < 0:
-            raise ValueError(f"{name} contains negative values")
-    for name, a in (("q_list", q_list), ("q_phr", q_phr)):
-        if a.max(initial=0.0) > 1:
-            raise ValueError(f"{name} holds correlations above 1")
-    for name, a in (("q_tok", q_tok), ("p_bb", p_bb)):
-        if np.abs(a.sum(axis=-1) - 1.0).max(initial=0.0) > 1e-9:
-            raise ValueError(f"{name} rows must sum to 1")
-
-
 def synth_backbone(utt: Utterance, spec: NoiseSpec, vocab: Vocabulary) -> np.ndarray:
     """Backbone token distributions, (U, V) row-stochastic.
 
@@ -160,19 +102,27 @@ def synth_backbone(utt: Utterance, spec: NoiseSpec, vocab: Vocabulary) -> np.nda
     probability confusion_rate, a gold-span step swaps the two, so its
     argmax becomes the partner. Jitter never touches the backbone.
     """
+    refs, partners = _refs_and_partners(utt, vocab)
+    confused = _confusion_mask(utt, spec, _span_mask(utt)) & (partners != refs)
+    return _backbone_rows(refs, partners, confused, vocab.size)
+
+
+def _refs_and_partners(utt: Utterance, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
     refs = np.asarray(utt.tokens, dtype=np.intp)
-    u, v = len(refs), vocab.size
-    partners = np.asarray(vocab.confusable, dtype=np.intp)[refs]
+    return refs, np.asarray(vocab.confusable, dtype=np.intp)[refs]
+
+
+def _backbone_rows(refs, partners, confused, v: int) -> np.ndarray:
+    """The backbone rows for the given confused steps (a subset of those
+    whose partner differs from the reference)."""
+    u = refs.size
     floor = (1.0 - BACKBONE_PRIMARY - BACKBONE_SECONDARY) / (v - 2)
     p = np.full((u, v), floor)
     steps = np.arange(u)
-    p[steps, refs] = BACKBONE_PRIMARY
-    distinct = partners != refs
-    p[steps[distinct], partners[distinct]] = BACKBONE_SECONDARY
-    confused = _confusion_mask(utt, spec) & distinct
-    idx = steps[confused]
-    p[idx, refs[confused]] = BACKBONE_SECONDARY
-    p[idx, partners[confused]] = BACKBONE_PRIMARY
+    # a confused step swaps the two; a step that is its own partner has no
+    # runner-up
+    p[steps, np.where(confused, refs, partners)] = BACKBONE_SECONDARY
+    p[steps, np.where(confused, partners, refs)] = BACKBONE_PRIMARY
     return p / p.sum(axis=1, keepdims=True)
 
 
@@ -183,7 +133,7 @@ def _span_mask(utt: Utterance) -> np.ndarray:
     return mask
 
 
-def _confusion_mask(utt: Utterance, spec: NoiseSpec) -> np.ndarray:
+def _confusion_mask(utt: Utterance, spec: NoiseSpec, span_mask: np.ndarray) -> np.ndarray:
     """Steps where the acoustic evidence points at the confusable partner.
 
     Shared between the backbone and the token scorer: both listen to the
@@ -194,20 +144,15 @@ def _confusion_mask(utt: Utterance, spec: NoiseSpec) -> np.ndarray:
     draws = rng.uniform_field(
         rng.stream_key(spec.seed, "confuse", utt.uid), np.arange(utt.n_steps, dtype=np.uint64)
     )
-    return (draws < spec.confusion_rate) & _span_mask(utt)
+    return (draws < spec.confusion_rate) & span_mask
 
 
-def _jitter(
-    x: np.ndarray,
-    sigma: float,
-    z: np.ndarray,
-    gain: float = JITTER_GAIN,
-    floor: float = JITTER_FLOOR,
-) -> np.ndarray:
+def _jitter(x: np.ndarray, sigma: float, z: np.ndarray) -> np.ndarray:
+    """The list channel's logit-space jitter."""
     if sigma == 0.0:
         return x
-    base = logit(np.clip(x, floor, JITTER_CAP))
-    base += gain * sigma * z
+    base = logit(np.clip(x, JITTER_FLOOR, JITTER_CAP))
+    base += JITTER_GAIN * sigma * z
     return expit(base)
 
 
@@ -234,19 +179,21 @@ class SyntheticScorer:
         self.vocab = vocab
         self.spec = spec
         self.phi = phi if phi is not None else build_phi(biasing_list, vocab)
-        self._u = utt.n_steps
+        self._u = u = utt.n_steps
         self._m = biasing_list.size
-        self._y_list = _span_mask(utt)
-        self._ev_list = self._build_list_evidence()
-        self._q_phr = self._build_phrase_scores()
-        self._q_tok = self._build_token_scores()
-        self._p_bb = synth_backbone(utt, spec, vocab)
+        span_mask = _span_mask(utt)
+        refs, partners = _refs_and_partners(utt, vocab)
+        confused = _confusion_mask(utt, spec, span_mask) & (partners != refs)
+        ev_cols, self._ev_rank = self._list_evidence()
+        self._q_phr = self._build_phrase_scores(span_mask, ev_cols)
+        self._q_tok = self._build_token_scores(refs, partners, confused)
+        self._p_bb = _backbone_rows(refs, partners, confused, vocab.size)
         # every bundle shares these two; they are never written after the build
         self._q_tok.flags.writeable = False
         self._p_bb.flags.writeable = False
         # the list-channel draws depend on the step alone, not on the queried
         # sublist; drawing them once keeps repeated group queries cheap
-        steps = np.arange(self._u, dtype=np.uint64)
+        steps = np.arange(u, dtype=np.uint64)
         self._flip_draws = (
             rng.uniform_field(rng.stream_key(spec.seed, "flip", utt.uid), steps)
             if spec.label_flip_rate > 0.0
@@ -259,55 +206,65 @@ class SyntheticScorer:
         )
         # a group's list correlation is the list noise applied to the largest
         # evidence among its members, step by step, and that evidence is one
-        # of a few levels (0, ADJACENT_EVIDENCE, 1); the noise is elementwise,
-        # so it is applied once to every level at every step, and a query
-        # picks its entries from this (levels, U) table
-        ev_cols = np.flatnonzero(self._ev_list.any(axis=0))
-        ev = self._ev_list[:, ev_cols]
-        levels = np.unique(np.append(ev, 0.0))  # ascending, 0 first
-        self._list_table = self._apply_list_noise(np.repeat(levels[:, None], self._u, axis=1))
-        # per evidence-bearing column, the rank of its level at each step;
-        # ranks order as levels do, so a group's largest rank names its level
-        self._ev_rank = np.searchsorted(levels, ev)
+        # of EVIDENCE_LEVELS; the noise is elementwise, so it is applied once
+        # to every level at every step, and a query picks its entries from
+        # this (levels, U) table by the ranks in _ev_rank
+        self._list_table = self._apply_list_noise(np.repeat(EVIDENCE_LEVELS[:, None], u, axis=1))
         self._ev_slot = np.full(self._m, -1, dtype=np.intp)
-        self._ev_slot[ev_cols] = np.arange(ev_cols.size)
-        self._steps = np.arange(self._u)
+        self._ev_slot[ev_cols] = np.arange(len(ev_cols))
+        self._steps = np.arange(u)
         # everything a query hands out is taken from these arrays, so they are
         # held to the bundle contract once, here
         _check_values(self._list_table, self._q_phr, self._q_tok, self._p_bb)
 
     # -- evidence construction ------------------------------------------
 
-    def _build_list_evidence(self) -> np.ndarray:
-        """(U, M) gold-span evidence: 1 on each span's phrase column, and
-        ADJACENT_EVIDENCE one step past either boundary when jitter is on."""
-        ev = np.zeros((self._u, self._m))
-        bleed = ADJACENT_EVIDENCE if self.spec.score_jitter_sigma > 0 else 0.0
+    def _list_evidence(self) -> tuple[list[int], np.ndarray]:
+        """The gold-span evidence of the list channel, column by column: the
+        phrases the spans name (ascending), and per step the rank in
+        EVIDENCE_LEVELS of each one's evidence, a (U, columns) array. A
+        span's steps hold 1, and when jitter is on the step past either
+        boundary holds ADJACENT_EVIDENCE unless a span covers it."""
+        cols = sorted({s.phrase for s in self.utt.spans})
+        rank = np.zeros((self._u, len(cols)), dtype=np.intp)
+        bleed = self.spec.score_jitter_sigma > 0
         for s in self.utt.spans:
+            col = rank[:, cols.index(s.phrase)]
             if bleed:
-                if s.start > 0:
-                    ev[s.start - 1, s.phrase] = max(ev[s.start - 1, s.phrase], bleed)
-                if s.end < self._u:
-                    ev[s.end, s.phrase] = max(ev[s.end, s.phrase], bleed)
-            ev[s.start : s.end, s.phrase] = 1.0
-        return ev
+                for step in (s.start - 1, s.end):
+                    if 0 <= step < self._u and col[step] < _ADJACENT_RANK:
+                        col[step] = _ADJACENT_RANK
+            col[s.start : s.end] = _SPAN_RANK
+        return cols, rank
 
-    def _build_phrase_scores(self) -> np.ndarray:
+    def _build_phrase_scores(self, span_mask: np.ndarray, ev_cols: list[int]) -> np.ndarray:
         # the phrase head sees the same span evidence as the list channel,
         # boundary bleed included; spans never point at the no-bias column,
         # which holds the off-span steps instead
-        ev = self._ev_list.copy()
-        ev[:, 0] = 1.0 - self._y_list
+        ev = np.zeros((self._u, self._m))
+        ev[:, ev_cols] = EVIDENCE_LEVELS[self._ev_rank]
+        ev[:, 0] = ~span_mask
         if self.spec.distractor_boost > 0.0 and self.utt.spans:
             self._apply_distractors(ev)
         sigma = self.spec.score_jitter_sigma
-        if sigma > 0.0:
-            z = rng.normal_field(
-                rng.stream_key(self.spec.seed, "qphr", self.utt.uid),
-                rng.grid_index(self._u, self._m),
-            )
-            ev = _jitter(ev, sigma, z, gain=PHRASE_JITTER_GAIN, floor=PHRASE_JITTER_FLOOR)
-        return ev
+        if sigma == 0.0:
+            return ev
+        # logit-space jitter, as _jitter applies it but with the phrase head's
+        # gain and floor, written into the noise field: a cell without
+        # evidence clips to the floor, so all such cells share one logit, and
+        # only the few cells with evidence need their own
+        z = rng.normal_field(
+            rng.stream_key(self.spec.seed, "qphr", self.utt.uid),
+            rng.grid_index(self._u, self._m),
+        )
+        z *= PHRASE_JITTER_GAIN * sigma
+        flat, ev = z.reshape(-1), ev.reshape(-1)
+        cells = (ev != 0.0).nonzero()[0]  # a bool scan beats np.flatnonzero on floats
+        shift = flat[cells]
+        base = logit(np.clip(np.append(0.0, ev[cells]), PHRASE_JITTER_FLOOR, JITTER_CAP))
+        flat += base[0]
+        flat[cells] = base[1:] + shift
+        return expit(z)
 
     def _apply_distractors(self, ev: np.ndarray) -> None:
         """Raise phrase scores for phrases overlapping a gold phrase.
@@ -324,9 +281,8 @@ class SyntheticScorer:
         log_boost = np.log(self.spec.distractor_boost)
         for s in self.utt.spans:
             shared = mat[:, mat[s.phrase] > 0].sum(axis=1)
-            sharers = shared > 0
-            sharers[[0, s.phrase]] = False
-            cols = np.flatnonzero(sharers)
+            shared[0] = shared[s.phrase] = 0
+            cols = np.flatnonzero(shared)
             if cols.size == 0:
                 continue
             # only the span rows of the sharer columns are read, so only their
@@ -334,34 +290,41 @@ class SyntheticScorer:
             draws = rng.uniform_field(key, rng.grid_cells(np.arange(s.start, s.end), cols))
             r = 1.0 - draws  # (0,1], keeps boost**r away from the r=0 degeneracy
             frac = shared[cols] / self.phi.row_sizes[cols]  # a sharer holds a token
-            vals = np.exp(r * log_boost) * frac**3
+            r *= log_boost
+            vals = np.exp(r, out=r)
+            vals *= frac**3
             block = ev[s.start : s.end, cols]
             np.maximum(block, vals, out=block)
             ev[s.start : s.end, cols] = block
 
-    def _build_token_scores(self) -> np.ndarray:
-        refs = np.asarray(self.utt.tokens, dtype=np.intp)
-        v = self.vocab.size
-        q = np.zeros((self._u, v))
-        steps = np.arange(self._u)
+    def _build_token_scores(self, refs, partners, confused) -> np.ndarray:
+        u, v = refs.size, self.vocab.size
+        q = np.zeros((u, v))
+        steps = np.arange(u)
         q[steps, refs] = 1.0
-        confused = _confusion_mask(self.utt, self.spec)
-        partners = np.asarray(self.vocab.confusable, dtype=np.intp)[refs]
-        confused &= partners != refs
-        if confused.any():
-            floor = (1.0 - TOKEN_CONFUSED_REF - TOKEN_CONFUSED_PARTNER) / (v - 2)
-            idx = steps[confused]
-            q[idx] = floor
-            q[idx, refs[confused]] = TOKEN_CONFUSED_REF
-            q[idx, partners[confused]] = TOKEN_CONFUSED_PARTNER
-        sigma = self.spec.score_jitter_sigma
-        if sigma > 0.0:
-            z = rng.normal_field(
-                rng.stream_key(self.spec.seed, "qtok", self.utt.uid),
-                rng.grid_index(self._u, v),
-            )
-            q = q * np.exp(TOKEN_JITTER_GAIN * sigma * z)
-        return q / q.sum(axis=1, keepdims=True)
+        rows = steps[confused]
+        if rows.size:
+            q[rows] = (1.0 - TOKEN_CONFUSED_REF - TOKEN_CONFUSED_PARTNER) / (v - 2)
+            q[rows, refs[rows]] = TOKEN_CONFUSED_REF
+            q[rows, partners[rows]] = TOKEN_CONFUSED_PARTNER
+        # a one-hot row stays one-hot under the jitter: its 1 times a finite,
+        # nonzero factor comes back to 1 when the row is normalized, and every
+        # 0 stays 0; so the noise is drawn and the rows normalized only at the
+        # confused steps, unless the jitter is wide enough for exp to overflow
+        gain = TOKEN_JITTER_GAIN * self.spec.score_jitter_sigma
+        if gain * _Z_BOUND >= _EXP_SAFE:
+            rows = steps
+        if rows.size:
+            block = q[rows]
+            if gain > 0.0:
+                z = rng.normal_field(
+                    rng.stream_key(self.spec.seed, "qtok", self.utt.uid),
+                    rng.grid_cells(rows, np.arange(v)),
+                )
+                z *= gain
+                block *= np.exp(z, out=z)
+            q[rows] = block / block.sum(axis=1, keepdims=True)
+        return q
 
     # -- queries ---------------------------------------------------------
 
@@ -419,24 +382,4 @@ class SyntheticScorer:
             q_phr=self.q_phr_for(members),
             q_tok=self._q_tok.view(),
             p_bb=self._p_bb.view(),
-        )
-
-
-def save_bundle(bundle: CorrelationBundle, path) -> None:
-    np.savez(
-        path, q_list=bundle.q_list, q_phr=bundle.q_phr, q_tok=bundle.q_tok, p_bb=bundle.p_bb
-    )
-
-
-def load_bundle(path) -> CorrelationBundle:
-    """Load a bundle saved by save_bundle (or produced by a real model)."""
-    with np.load(Path(path)) as data:
-        missing = {"q_list", "q_phr", "q_tok", "p_bb"} - set(data.files)
-        if missing:
-            raise ValueError(f"bundle file lacks arrays: {sorted(missing)}")
-        return CorrelationBundle(
-            q_list=data["q_list"],
-            q_phr=data["q_phr"],
-            q_tok=data["q_tok"],
-            p_bb=data["p_bb"],
         )

@@ -10,6 +10,7 @@ import pytest
 
 from ctxbias import corpus as corpus_mod
 from ctxbias import purify
+from ctxbias.bundle import save_bundle
 from ctxbias.harness import cli, config, corpusgen, report, runner
 from ctxbias.jointdecode import attention_decode, count_phrases, decode_utterance, greedy_decode
 from ctxbias.metrics import MetricsReport, cer
@@ -507,6 +508,65 @@ def test_cli_gen_and_decode(tmp_path, capsys):
     for name, want in expected.items():
         assert np.array_equal(arrays[name], np.asarray(want)), name
 
+
+
+def _stored_bundle_case(tmp_path):
+    """A config on disk and the synthetic bundle of utt0003 against its list."""
+    cfg = _small_config(n_utterances=6, outdir=str(tmp_path / "runs"),
+                        confusion_rate=0.3, score_jitter_sigma=0.1, distractor_boost=0.3)
+    ini = tmp_path / "exp.ini"
+    config.save_config(cfg, ini)
+    corp = corpusgen.generate_corpus(cfg)
+    utt = next(u for u in corp.utterances if u.uid == "utt0003")
+    biasing_list = corp.lists[51]
+    phi = corpus_mod.build_phi(biasing_list, corp.vocabulary)
+    bundle = SyntheticScorer(utt, biasing_list, corp.vocabulary, cfg.noise_for(cfg.seed)).bundle()
+    return cfg, ini, biasing_list, phi, bundle
+
+
+def test_cli_decode_of_a_stored_bundle_equals_the_in_process_decode(tmp_path, capsys):
+    # file names without the .npz suffix are used exactly as given, both for
+    # the stored bundle and for the dump
+    cfg, ini, biasing_list, phi, bundle = _stored_bundle_case(tmp_path)
+    stored = tmp_path / "utt0003_bundle"
+    save_bundle(bundle, stored)
+    dumps = {}
+    for extra in ([], ["--bundle", str(stored)]):
+        dump = tmp_path / f"dump{len(dumps)}"
+        assert cli.main(["decode", "--config", str(ini), "--utt", "utt0003",
+                         "--out", str(dump), *extra]) == 0
+        assert json.loads(capsys.readouterr().out)["arrays"] == str(dump)
+        with np.load(dump) as arrays:
+            dumps[len(dumps)] = {name: arrays[name] for name in arrays.files}
+    res = decode_utterance(bundle, biasing_list, phi, cfg.smoothing)
+    expected = {"q_list": bundle.q_list, "q_slist": res.weight, "q_sphr": res.q_sphr,
+                "q_bias": res.q_bias, "q_casr": res.q_casr, "p_bb": bundle.p_bb,
+                "hyp_bb": res.hyp_bb, "hyp_casr": res.hyp_casr, "hyp_final": res.hyp_final}
+    for name, want in expected.items():
+        want = np.asarray(want)
+        for dump in dumps.values():
+            assert dump[name].dtype == want.dtype and dump[name].tobytes() == want.tobytes(), name
+
+
+def test_cli_decode_rejects_a_malformed_bundle_file_naming_the_array(tmp_path, capsys):
+    cfg, ini, biasing_list, phi, bundle = _stored_bundle_case(tmp_path)
+    arrays = {name: np.array(getattr(bundle, name))
+              for name in ("q_list", "q_phr", "q_tok", "p_bb")}
+    nan_phr = arrays["q_phr"].copy()
+    nan_phr[2, 1] = np.nan
+    cases = {
+        "q_phr": {**arrays, "q_phr": nan_phr},  # breaks the value contract
+        "p_bb": {k: a for k, a in arrays.items() if k != "p_bb"},  # missing
+        "q_tok": {**arrays, "q_tok": arrays["q_tok"][:, :-1], "p_bb": arrays["p_bb"][:, :-1]},
+        "q_list": {k: a[:-1] for k, a in arrays.items()},  # not this utterance's steps
+    }
+    for name, bad in cases.items():
+        path = tmp_path / f"bad_{name}.npz"
+        np.savez(path, **bad)
+        assert cli.main(["decode", "--config", str(ini), "--utt", "utt0003",
+                         "--bundle", str(path), "--out", str(tmp_path / "dump.npz")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and name in err["message"], (name, err)
 
 def test_cli_reports_errors_as_json(tmp_path, capsys):
     assert cli.main(["sweep", "--config", str(tmp_path / "missing.ini")]) == 1

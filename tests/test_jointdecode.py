@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ctxbias import corpus, jointdecode, simulate
+from ctxbias.bundle import CorrelationBundle
 from ctxbias.harness.config import ExperimentConfig
 from ctxbias.harness.corpusgen import generate_corpus
 from ctxbias.numeric import softmax
@@ -151,7 +152,7 @@ def test_decode_without_real_phrases_falls_back():
     nb_bundle = scorer.bundle()
     # a confident list channel, so that only the fallback keeps the
     # biased path from overriding the backbone
-    nb_bundle = simulate.CorrelationBundle(
+    nb_bundle = CorrelationBundle(
         q_list=np.ones(len(utt.tokens)), q_phr=nb_bundle.q_phr, q_tok=nb_bundle.q_tok,
         p_bb=nb_bundle.p_bb,
     )
@@ -176,7 +177,7 @@ def test_decode_corrects_homophone_confusions():
             p_bb[step, partner],
             p_bb[step, refs[step]],
         )
-    confused = simulate.CorrelationBundle(
+    confused = CorrelationBundle(
         q_list=bundle.q_list, q_phr=bundle.q_phr, q_tok=bundle.q_tok, p_bb=p_bb
     )
     res = jointdecode.decode_utterance(confused, bl, phi, SmoothingParams())
@@ -261,3 +262,16 @@ def test_decode_results_carry_the_guard_counts():
                                                                             kept.count_bb)
             kept_biased += res.hyp_final != res.hyp_bb
     assert kept_biased  # the guard let some biased hypotheses through
+
+
+def test_decode_core_does_not_import_the_synthetic_scorer():
+    # the bundle contract lives in ctxbias.bundle; the decoders need nothing
+    # from the synthetic scorer's module
+    import ast
+    import inspect
+
+    tree = ast.parse(inspect.getsource(jointdecode))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for a in node.names}
+    assert "bundle" in imported and not any("simulate" in (name or "") for name in imported)

@@ -1,7 +1,9 @@
 import numpy as np
+import parent_build
 import pytest
 
 from ctxbias import corpus, purify, rng, simulate
+from ctxbias.bundle import CorrelationBundle
 from ctxbias.harness.config import ExperimentConfig
 from ctxbias.harness.corpusgen import generate_corpus
 from ctxbias.purify import PurifyParams
@@ -330,9 +332,9 @@ def test_restriction_equals_its_from_scratch_builds():
     gen = np.random.default_rng(5)
     for utt in corp.utterances:
         scorer = simulate.SyntheticScorer(utt, bl, corp.vocabulary, config.noise_for(1), phi)
+        parent = parent_build.SyntheticScorer(utt, bl, corp.vocabulary, config.noise_for(1), phi)
         full = scorer.bundle()
-        simulate.CorrelationBundle(q_list=full.q_list, q_phr=full.q_phr, q_tok=full.q_tok,
-                                   p_bb=full.p_bb)
+        CorrelationBundle(q_list=full.q_list, q_phr=full.q_phr, q_tok=full.q_tok, p_bb=full.p_bb)
         random_kept = gen.permutation(np.arange(1, bl.size))[: int(gen.integers(0, 200))]
         for kept in (
             purify.gcp(bl, scorer, config.purify_for(1)).kept,
@@ -351,11 +353,11 @@ def test_restriction_equals_its_from_scratch_builds():
             for got, want in zip(restricted.by_token, (tokens, starts, phrases)):
                 assert np.array_equal(got, want)
             bundle = scorer.bundle(kept)
-            checked = simulate.CorrelationBundle(
+            checked = CorrelationBundle(
                 q_list=bundle.q_list, q_phr=bundle.q_phr, q_tok=bundle.q_tok, p_bb=bundle.p_bb
             )
-            ev = scorer._ev_list[:, list(kept)].max(axis=1)
-            assert checked.q_list.tobytes() == scorer._apply_list_noise(ev).tobytes()
+            ev = parent._ev_list[:, list(kept)].max(axis=1)
+            assert checked.q_list.tobytes() == parent._apply_list_noise(ev).tobytes()
             assert checked.q_phr.tobytes() == full.q_phr[:, list(kept)].tobytes()
             assert checked.q_tok.tobytes() == full.q_tok.tobytes()
             assert checked.p_bb.tobytes() == full.p_bb.tobytes()

@@ -164,3 +164,31 @@ def test_grid_cells_are_the_grid_index_sub_block():
     rows, cols = np.arange(2, 7), np.array([0, 3, 4, 29])
     assert np.array_equal(rng.grid_cells(rows, cols), full[2:7][:, cols])
     assert rng.grid_cells(rows, cols).dtype == np.uint64
+
+
+def test_normal_field_rows_are_the_documented_uniform_streams():
+    """The two uniform streams a normal draw fuses into one buffer are each
+    exactly what ``uniform_field`` gives under its sub-key."""
+    gen = np.random.default_rng(13)
+    indices = [np.uint64(9), np.arange(18, dtype=np.uint64), rng.grid_index(16, 51),
+               rng.grid_cells([2, 5], np.arange(82)), np.zeros((0, 3), dtype=np.uint64)]
+    for key in [rng.stream_key(0, "qphr", "utt0001"), np.uint64(2**64 - 1),
+                *gen.integers(0, 2**64, size=5, dtype=np.uint64)]:
+        k1 = np.uint64(rng._mix_int(int(key) ^ rng._NORMAL_K1))
+        k2 = np.uint64(rng._mix_int(int(key) ^ rng._NORMAL_K2))
+        for index in indices:
+            u1, u2 = rng.uniform_field(k1, index), rng.uniform_field(k2, index)
+            want = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+            assert _same_bits(rng.normal_field(key, index), want)
+
+
+def test_stream_key_string_cache_changes_no_key():
+    parts = [(7, "noise", 3), (0, "qphr", "utt0001"), (0, "qtok", "utt0001"), ("ü", ""),
+             (-5, "qphr", "utt0007")]
+    rng._str_to_int.cache_clear()
+    cold = [rng.stream_key(*p) for p in parts]
+    warm = [rng.stream_key(*p) for p in parts]
+    assert rng._str_to_int.cache_info().hits >= 7
+    assert cold == warm == [_ref_stream_key(*p) for p in parts]
+    # a str subclass folds like the plain string
+    assert rng.stream_key(np.str_("qphr"), 2) == rng.stream_key("qphr", 2)

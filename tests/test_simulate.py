@@ -1,9 +1,11 @@
 from types import SimpleNamespace
 
 import numpy as np
+import parent_build
 import pytest
 
 from ctxbias import corpus, jointdecode, rng, simulate
+from ctxbias.bundle import CorrelationBundle, load_bundle, save_bundle
 from ctxbias.harness.config import ExperimentConfig
 from ctxbias.harness.corpusgen import generate_corpus
 from ctxbias.reference.embeddings import synth_embeddings
@@ -256,6 +258,7 @@ def test_q_list_groups_rows_equal_q_list_for():
     rng = np.random.default_rng(3)
     for utt in corp.utterances:
         scorer = simulate.SyntheticScorer(utt, bl, corp.vocabulary, config.noise_for(1))
+        parent = parent_build.SyntheticScorer(utt, bl, corp.vocabulary, config.noise_for(1))
         members = rng.permutation(np.arange(1, bl.size))[: int(rng.integers(1, bl.size))]
         for group_size in (1, 7, 75, members.size, members.size + 3):
             rows = scorer.q_list_groups(members, group_size)
@@ -263,8 +266,9 @@ def test_q_list_groups_rows_equal_q_list_for():
             for g, row in enumerate(rows):
                 group = members[g * group_size : (g + 1) * group_size]
                 assert np.array_equal(row, scorer.q_list_for(group))
-                # the slow form: noise applied to the group's column max
-                slow = scorer._apply_list_noise(scorer._ev_list[:, group].max(axis=1))
+                # the slow form: noise applied to the group's column max, as
+                # the parent build's dense evidence gives it
+                slow = parent._apply_list_noise(parent._ev_list[:, group].max(axis=1))
                 assert np.array_equal(row, slow)
     with pytest.raises(ValueError):
         scorer.q_list_groups([], 3)
@@ -276,11 +280,13 @@ def test_bundle_file_round_trip(tmp_path):
     v, bl, utt = _setup(spans=((2, 4, 1),))
     spec = simulate.NoiseSpec(seed=1, score_jitter_sigma=0.1)
     bundle = simulate.SyntheticScorer(utt, bl, v, spec).bundle()
-    path = tmp_path / "bundle.npz"
-    simulate.save_bundle(bundle, path)
-    loaded = simulate.load_bundle(path)
-    for name in ("q_list", "q_phr", "q_tok", "p_bb"):
-        assert np.array_equal(getattr(bundle, name), getattr(loaded, name))
+    # a path without the .npz suffix is written and read as given
+    for path in (tmp_path / "bundle.npz", tmp_path / "bundle", str(tmp_path / "plain")):
+        save_bundle(bundle, path)
+        loaded = load_bundle(path)
+        for name in ("q_list", "q_phr", "q_tok", "p_bb"):
+            assert np.array_equal(getattr(bundle, name), getattr(loaded, name))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle", "bundle.npz", "plain"]
 
 
 def test_noise_spec_validation():
@@ -349,8 +355,9 @@ def test_distractors_match_dense_field_formula():
         phi = corpus.build_phi(bl, corp.vocabulary)
         for utt in corp.utterances:
             scorer = simulate.SyntheticScorer(utt, bl, corp.vocabulary, spec, phi)
-            ev = scorer._ev_list.copy()
-            ev[:, 0] = 1.0 - scorer._y_list
+            parent = parent_build.SyntheticScorer(utt, bl, corp.vocabulary, spec, phi)
+            ev = parent._ev_list.copy()
+            ev[:, 0] = 1.0 - parent._y_list
             want = ev.copy()
             _dense_distractors(want, scorer)
             scorer._apply_distractors(ev)
@@ -429,11 +436,11 @@ def test_malformed_bundles_are_rejected_where_they_enter(case, tmp_path):
     damage, name = MALFORMED_BUNDLES[case]
     bad = damage(arrays)
     with pytest.raises(ValueError, match=name):
-        simulate.CorrelationBundle(**bad)
+        CorrelationBundle(**bad)
     path = tmp_path / "bad.npz"
     np.savez(path, **bad)
     with pytest.raises(ValueError, match=name):
-        simulate.load_bundle(path)
+        load_bundle(path)
     with pytest.raises(ValueError, match=name):
         jointdecode.decode_utterance(SimpleNamespace(**bad), bl, phi, SmoothingParams())
     with pytest.raises(ValueError, match=name):
@@ -442,19 +449,19 @@ def test_malformed_bundles_are_rejected_where_they_enter(case, tmp_path):
 
 def test_bundle_contract_accepts_and_casts_real_floats(tmp_path):
     bl, phi, arrays = _contract_case()
-    assert simulate.CorrelationBundle(**arrays).q_phr is arrays["q_phr"]  # no copy
+    assert CorrelationBundle(**arrays).q_phr is arrays["q_phr"]  # no copy
     narrow = {k: x.astype(np.float32) for k, x in arrays.items()}
-    bundle = simulate.CorrelationBundle(**narrow)
+    bundle = CorrelationBundle(**narrow)
     for name, x in arrays.items():
         assert getattr(bundle, name).dtype == np.float64
         assert np.array_equal(getattr(bundle, name), x)
     # a row 1e-9 off still sums to 1 within the tolerance
     near = {**arrays, "q_tok": arrays["q_tok"].copy()}
     near["q_tok"][3, 0] += 5e-10
-    simulate.CorrelationBundle(**near)
+    CorrelationBundle(**near)
     path = tmp_path / "narrow.npz"
     np.savez(path, **narrow)
-    loaded = simulate.load_bundle(path)
+    loaded = load_bundle(path)
     assert loaded.p_bb.dtype == np.float64
     want = jointdecode.decode_utterance(bundle, bl, phi, SmoothingParams())
     got = jointdecode.decode_utterance(SimpleNamespace(**narrow), bl, phi, SmoothingParams())
@@ -463,7 +470,7 @@ def test_bundle_contract_accepts_and_casts_real_floats(tmp_path):
 
 def test_decoders_reject_bundles_that_do_not_fit_the_list_or_mask():
     bl, phi, arrays = _contract_case()
-    bundle = simulate.CorrelationBundle(**arrays)
+    bundle = CorrelationBundle(**arrays)
     longer = corpus.make_biasing_list([(2, 3), (3, 2), (2, 2)], _vocab(n_chars=2))
     wider = corpus.PhiMask(np.zeros((3, 5), dtype=np.uint8))
     for decode in (
