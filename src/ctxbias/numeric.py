@@ -6,10 +6,17 @@ import numpy as np
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along an axis."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    """Numerically stable softmax along an axis.
+
+    Floating input keeps its dtype; other numeric input comes out as exp
+    gives it (float64 for int64). The shifted copy of a floating input is
+    exponentiated and normalized in place.
+    """
+    x = np.asarray(x)
+    e = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(e, out=e if e.dtype.kind in "fc" else None)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def expit(x: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ then squashed with tanh.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,11 @@ def triangular_smooth(q_list, p: SmoothingParams) -> np.ndarray:
     if q.ndim != 1 or q.shape[0] < 1:
         raise ValueError("expected a nonempty 1-d array")
     side = (1.0 - p.omega) / 2.0
-    padded = np.concatenate(([q[0]], q, [q[-1]]))
+    n = q.shape[0]
+    padded = np.empty(n + 2)
+    padded[1:-1] = q
+    padded[0] = q[0]
+    padded[-1] = q[-1]
     return side * padded[:-2] + p.omega * padded[1:-1] + side * padded[2:]
 
 
@@ -41,8 +46,7 @@ def estimate_phrase_length(q_slist) -> int:
     """Window length from the smoothed list mass: round-half-up of the sum,
     clamped to [1, U]."""
     q = np.asarray(q_slist, dtype=float)
-    total = float(q.sum())
-    length = int(np.floor(total + 0.5))
+    length = math.floor(float(q.sum()) + 0.5)
     return max(1, min(q.shape[0], length))
 
 
@@ -77,17 +81,29 @@ def guided_phrase_smooth(q_phr: np.ndarray, q_list, q_slist) -> np.ndarray:
     """
     q_phr = np.asarray(q_phr, dtype=float)
     q = np.asarray(q_list, dtype=float)
-    if q_phr.ndim != 2 or q_phr.shape[0] != q.shape[0]:
+    if q_phr.ndim != 2 or q.ndim != 1 or q_phr.shape[0] != q.shape[0]:
         raise ValueError("phrase matrix and list scores disagree on steps")
     n = q.shape[0]
+    q_slist = np.asarray(q_slist, dtype=float)
+    if q_slist.shape != (n,):
+        raise ValueError(f"q_slist has shape {q_slist.shape}, expected ({n},): one "
+                         "smoothed list score per step")
     length = estimate_phrase_length(q_slist)
     col_sums = _box_sums(q_phr, length)  # (n-length+1, M), start-indexed
     # locate_window for every step at once: step u searches starts
     # u-length+1 .. u+length-1, which is row u of a sliding window over the
     # box sums padded with length-1 (left) and 2*length-2 (right) entries of
-    # -inf that never win; argmax keeps the first, i.e. smallest, start
-    pad = np.full(length - 1, -np.inf)
-    padded = np.concatenate((pad, _box_sums(q, length), pad, pad))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * length - 1)
-    starts = np.arange(n) - (length - 1) + np.argmax(windows, axis=1)
+    # -inf that never win; argmax keeps the first, i.e. smallest, start. The
+    # box sums are _box_sums(q, length), from prefix sums with a leading 0
+    prefix = np.empty(n + 1)
+    prefix[0] = 0.0
+    np.cumsum(q, out=prefix[1:])
+    padded = np.empty(n + 2 * length - 2)
+    padded[: length - 1] = -np.inf
+    padded[n:] = -np.inf
+    np.subtract(prefix[length:], prefix[:-length], out=padded[length - 1 : n])
+    step = padded.itemsize
+    windows = np.ndarray((n, 2 * length - 1), buffer=padded, strides=(step, step))
+    starts = windows.argmax(axis=1)
+    starts += np.arange(1 - length, n + 1 - length)
     return np.tanh(col_sums[starts])

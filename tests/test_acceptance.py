@@ -335,9 +335,16 @@ def test_criterion_8_decode_time_scaling(noisy_cells, gcp_timing_cells, capsys):
         for m in BASE.list_lengths
     }
     ordered = [totals[m] for m in BASE.list_lengths]
-    assert all(a < b for a, b in zip(ordered, ordered[1:]))
     gcp_total = sum(gcp_timing_cells[("joint_gcp", 1196, s)].decode_seconds for s in seeds)
-    assert gcp_total < totals[1196]
+    joint = ", ".join(f"M={m}: {totals[m]:.3f}s" for m in BASE.list_lengths)
+    assert all(a < b for a, b in zip(ordered, ordered[1:])), (
+        f"ACCEPTANCE 8 monotone clause: joint decode time not increasing in M "
+        f"({joint}); purified at M=1196 {gcp_total:.3f}s"
+    )
+    assert gcp_total < totals[1196], (
+        f"ACCEPTANCE 8 purified clause: purified decode at M=1196 {gcp_total:.3f}s "
+        f"is not below joint's {totals[1196]:.3f}s (joint {joint})"
+    )
     with capsys.disabled():
         per_m = "  ".join(f"M={m}: {totals[m]:.2f}s" for m in BASE.list_lengths)
         print(

@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +219,32 @@ def test_sweep_workers_match_serial():
         assert [(o.uid, o.hyp, o.kept) for o in serial[key].outcomes] == [
             (o.uid, o.hyp, o.kept) for o in parallel[key].outcomes
         ]
+
+
+def test_spawned_worker_attention_decode_matches_in_process_at_m1196():
+    # at M=1196 the bits of attention_decode's weights @ phi can depend on
+    # the BLAS thread count (on a 2-core host, for 2 of these 6 bundles),
+    # which M=51/201 above do not show: workers started as run_sweep starts
+    # them must give the in-process q_bias bit for bit
+    cfg = config.ExperimentConfig(n_utterances=6, list_lengths=(1196,), confusion_rate=0.3,
+                                  distractor_boost=0.3, score_jitter_sigma=0.1)
+    corp = corpusgen.generate_corpus(cfg)
+    biasing_list = corp.lists[1196]
+    phi = corpus_mod.build_phi(biasing_list, corp.vocabulary)
+    bundles = [SyntheticScorer(utt, biasing_list, corp.vocabulary, cfg.noise_for(0)).bundle()
+               for utt in corp.utterances]
+    here = [attention_decode(b, biasing_list, phi) for b in bundles]
+    n = len(bundles)
+    with ProcessPoolExecutor(
+        max_workers=1,
+        mp_context=multiprocessing.get_context("spawn"),
+        initializer=runner._init_sweep,
+        initargs=({1196: biasing_list}, {1196: phi}, corp.vocabulary, cfg),
+    ) as pool:
+        there = list(pool.map(attention_decode, bundles, [biasing_list] * n, [phi] * n))
+    for a, b in zip(there, here):
+        assert a.q_bias.tobytes() == b.q_bias.tobytes()
+        assert a.q_casr.tobytes() == b.q_casr.tobytes()
 
 
 def _direct_decode(utt, biasing_list, vocab, cfg, method, seed):

@@ -275,3 +275,28 @@ def test_decode_core_does_not_import_the_synthetic_scorer():
     imported |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                  for a in node.names}
     assert "bundle" in imported and not any("simulate" in (name or "") for name in imported)
+
+
+_ONES_2X3 = corpus.PhiMask(matrix=np.ones((2, 3), dtype=np.uint8))
+_Q_SLIST_SHAPES = [
+    # (stage, q_slist) with every other input well formed: 2 steps for the
+    # intersection (2 phrases, 3 tokens), 4 for the phrase pooling
+    ("intersection", np.full((2, 1), 0.5)),
+    ("intersection", np.full(3, 0.5)),
+    ("intersection", np.full(1, 0.5)),
+    ("intersection", np.array(0.5)),
+    ("pooling", np.full(2, 0.5)),
+    ("pooling", np.full(10, 0.5)),
+    ("pooling", np.full((4, 1), 0.5)),
+    ("pooling", np.array(0.5)),
+]
+
+
+@pytest.mark.parametrize("stage, q_slist", _Q_SLIST_SHAPES)
+def test_stages_reject_a_q_slist_that_is_not_one_weight_per_step(stage, q_slist):
+    with pytest.raises(ValueError, match="q_slist"):
+        if stage == "intersection":
+            jointdecode.joint_intersection(q_slist, np.full((2, 2), 0.5),
+                                           np.full((2, 3), 1 / 3), _ONES_2X3)
+        else:
+            guided_phrase_smooth(np.full((4, 2), 0.5), np.full(4, 0.5), q_slist)
