@@ -29,7 +29,7 @@ def toy_walkthrough() -> None:
     print(f"\nbiasing list: M={blist.size} "
           f"(index 0 is the reserved no-bias entry)")
     for m, phrase in enumerate(blist.phrases):
-        print(f"  [{m}] {vocab.decode(phrase.tokens)!r}")
+        print(f"  [{m}] {vocab.decode(phrase)!r}")
 
     text = "echo cab on dig pad"
     tokens = vocab.encode(text.replace(" ", ""))

@@ -106,40 +106,29 @@ class Vocabulary:
 
 
 @dataclass(frozen=True)
-class BiasingPhrase:
-    """One biasing phrase as a token-id sequence."""
-
-    tokens: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.tokens) < 1:
-            raise ValueError("phrase must contain at least one token")
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
-@dataclass(frozen=True)
 class BiasingList:
-    """Biasing phrases with the no-bias entry at index 0.
+    """Biasing phrases, each a tuple of token ids, with the no-bias entry
+    ``(no_bias_token,)`` at index 0.
 
     M (``size``) counts the no-bias entry, so a file of 50 phrases loads as
     a list of size 51.
     """
 
-    phrases: tuple[BiasingPhrase, ...]
+    phrases: tuple[tuple[int, ...], ...]
     no_bias_token: int
 
     def __post_init__(self) -> None:
         if not self.phrases:
             raise ValueError("biasing list cannot be empty")
-        if self.phrases[0].tokens != (self.no_bias_token,):
-            raise ValueError("biasing list must start with the no-bias entry")
         seen = set()
         for m, phrase in enumerate(self.phrases):
-            if phrase.tokens in seen:
+            if not isinstance(phrase, tuple):
+                raise ValueError(f"phrase {m} is a {type(phrase).__name__}, not a token tuple")
+            if m == 0 and phrase != (self.no_bias_token,):
+                raise ValueError("biasing list must start with the no-bias entry")
+            if phrase in seen:
                 raise ValueError(f"duplicate phrase at index {m}")
-            seen.add(phrase.tokens)
+            seen.add(phrase)
             if m > 0 and not (MIN_PHRASE_LEN <= len(phrase) <= MAX_PHRASE_LEN):
                 raise ValueError(
                     f"phrase {m} has length {len(phrase)}, "
@@ -156,27 +145,17 @@ class BiasingList:
         phrase starts with, and the real phrases keyed by token tuple; tuples
         of different lengths never compare equal, so one table serves every
         length."""
-        tokens = list(map(operator.attrgetter("tokens"), self.phrases[1:]))
-        lengths = tuple(sorted(set(map(len, tokens)), reverse=True))
-        firsts = frozenset(map(operator.itemgetter(0), tokens))
-        return lengths, firsts, dict(zip(tokens, range(1, self.size)))
+        real = self.phrases[1:]
+        lengths = tuple(sorted(set(map(len, real)), reverse=True))
+        firsts = frozenset(map(operator.itemgetter(0), real))
+        return lengths, firsts, dict(zip(real, range(1, self.size)))
 
     def real_indices(self) -> np.ndarray:
         return np.arange(1, self.size)
 
     def sublist(self, kept) -> "BiasingList":
-        """Restriction to the given original indices, in the given order.
-
-        The indices must be distinct and in range, and the first must be the
-        no-bias entry 0; anything else raises ``ValueError``.
-        """
-        kept = list(kept)
-        if not kept or kept[0] != 0:
-            raise ValueError("a sublist must keep the no-bias entry at index 0")
-        if min(kept) < 0 or max(kept) >= self.size:
-            raise ValueError(f"sublist index outside 0..{self.size - 1}")
-        if len(set(kept)) != len(kept):
-            raise ValueError("sublist indices must be distinct")
+        """Restriction to the given original indices (see ``check_kept``), in order."""
+        kept = check_kept(kept, self.size)
         # distinct phrases of a valid list, no-bias first, form a valid list:
         # skip re-validating them
         sub = object.__new__(BiasingList)
@@ -185,12 +164,26 @@ class BiasingList:
         return sub
 
 
+def check_kept(kept, size: int) -> list:
+    """The indices of a restriction of a ``size``-entry list, as a list:
+    distinct, in 0..size-1 and led by the no-bias entry 0, else
+    ``ValueError`` names the offending index."""
+    kept = list(kept)
+    if not kept or kept[0] != 0:
+        first = kept[0] if kept else "missing"
+        raise ValueError(f"the first kept index is {first}, not the no-bias entry 0")
+    if min(kept) < 0 or max(kept) >= size:
+        bad = next(k for k in kept if not 0 <= k < size)
+        raise ValueError(f"kept index {bad} is outside 0..{size - 1}")
+    if len(set(kept)) != len(kept):
+        raise ValueError(f"kept index {next(k for k in kept if kept.count(k) > 1)} repeats")
+    return kept
+
+
 def make_biasing_list(token_seqs, vocab: Vocabulary) -> BiasingList:
     """Build a list from real-phrase token sequences, prepending no-bias."""
-    phrases = [BiasingPhrase((vocab.no_bias_index,))]
-    for seq in token_seqs:
-        phrases.append(BiasingPhrase(tuple(int(t) for t in seq)))
-    return BiasingList(phrases=tuple(phrases), no_bias_token=vocab.no_bias_index)
+    phrases = ((vocab.no_bias_index,), *(tuple(int(t) for t in seq) for seq in token_seqs))
+    return BiasingList(phrases=phrases, no_bias_token=vocab.no_bias_index)
 
 
 @dataclass(frozen=True)
@@ -233,7 +226,7 @@ def validate_spans(utt: Utterance, biasing_list: BiasingList) -> None:
                 f"utterance {utt.uid}: span references phrase {s.phrase} "
                 f"outside the biasing list"
             )
-        expected = biasing_list.phrases[s.phrase].tokens
+        expected = biasing_list.phrases[s.phrase]
         if utt.tokens[s.start : s.end] != expected:
             raise ValueError(
                 f"utterance {utt.uid}: tokens under span ({s.start},{s.end}) "
@@ -312,7 +305,7 @@ def scan_occurrences(tokens, biasing_list: BiasingList) -> tuple[tuple[int, int]
 def build_phi(biasing_list: BiasingList, vocab: Vocabulary) -> PhiMask:
     matrix = np.zeros((biasing_list.size, vocab.size), dtype=np.uint8)
     for m, phrase in enumerate(biasing_list.phrases):
-        matrix[m, list(phrase.tokens)] = 1
+        matrix[m, list(phrase)] = 1
     return PhiMask(matrix=matrix)
 
 
@@ -340,9 +333,7 @@ def load_biasing_list(path, vocab: Vocabulary) -> BiasingList:
 
 def save_biasing_list(biasing_list: BiasingList, vocab: Vocabulary, path) -> None:
     """Write real phrases one per line (the no-bias entry is implicit)."""
-    lines = [
-        vocab.decode(p.tokens) for p in biasing_list.phrases[1:]
-    ]
+    lines = [vocab.decode(p) for p in biasing_list.phrases[1:]]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -87,10 +87,10 @@ def decode_one(
     noise = config.noise_for(sweep_seed)
     params = config.purify_for(sweep_seed)
     scorer = p_bb = None
+    # spans that fit the shortest list fit every list (_aggregate relies on it)
+    validate_spans(utt, lists[min(lists, key=lambda m: lists[m].size)])
     if any(method != "baseline" for method in config.methods):
         longest = max(lists, key=lambda m: lists[m].size)
-        # spans that fit the shortest list fit every list
-        validate_spans(utt, lists[min(lists, key=lambda m: lists[m].size)])
         scorer = SyntheticScorer(utt, lists[longest], vocab, noise, phis[longest])
     if "baseline" in config.methods:
         p_bb = synth_backbone(utt, noise, vocab)
@@ -174,7 +174,6 @@ def _aggregate(
     total_err = np.zeros(3, dtype=int)
     ref_len = 0
     hyps, refs, spans = [], [], []
-    kept_lists = []
     decode_seconds = 0.0
     audio_seconds = 0.0
     for out in outcomes:
@@ -184,18 +183,18 @@ def _aggregate(
         hyps.append(out.hyp)
         refs.append(utt.tokens)
         spans.append(utt.spans)
-        kept_lists.append(
-            out.kept if out.kept is not None else tuple(range(biasing_list.size))
-        )
         decode_seconds += out.wall_seconds
         audio_seconds += utt.duration_seconds
     p, r, f1, tp, fp, fn = phrase_prf(hyps, refs, spans, biasing_list)
+    # every span names a phrase of the cell list (decode_one checks this), so
+    # an unpurified cell keeps every gold phrase
+    kept = [out.kept for out in outcomes if out.kept is not None]
     report = MetricsReport(
         cer=float(total_err.sum()) / ref_len,
         precision=p,
         recall=r,
         f1=f1,
-        retention=retention_rate(kept_lists, spans),
+        retention=retention_rate(kept, spans) if kept else 1.0,
         rtf=rtf(decode_seconds, audio_seconds),
         substitutions=int(total_err[0]),
         insertions=int(total_err[1]),
@@ -205,7 +204,6 @@ def _aggregate(
         fp=fp,
         fn=fn,
     )
-    keeps = [len(k) for k, o in zip(kept_lists, outcomes) if o.kept is not None]
     return CellResult(
         method=method,
         list_length=list_length,
@@ -214,7 +212,7 @@ def _aggregate(
         decode_seconds=decode_seconds,
         audio_seconds=audio_seconds,
         n_utterances=len(outcomes),
-        m_pur_mean=float(np.mean(keeps)) if keeps else None,
+        m_pur_mean=float(np.mean([len(k) for k in kept])) if kept else None,
         outcomes=tuple(outcomes) if keep_outcomes else None,
     )
 

@@ -19,7 +19,7 @@ from typing import NamedTuple, Protocol
 import numpy as np
 
 from . import rng
-from .corpus import BiasingList, PhiMask
+from .corpus import BiasingList, PhiMask, check_kept
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,6 @@ class RoundAudit(NamedTuple):
 @dataclass(frozen=True)
 class PurifyResult:
     kept: tuple[int, ...]
-    m_pur: int
     rounds: tuple[RoundAudit, ...]
 
     def __post_init__(self) -> None:
@@ -55,8 +54,11 @@ class PurifyResult:
             raise ValueError("kept indices must be distinct")
         if not self.kept or self.kept[0] != 0:
             raise ValueError("the no-bias entry must be kept")
-        if self.m_pur != len(self.kept):
-            raise ValueError("m_pur must count the kept indices")
+
+    @property
+    def m_pur(self) -> int:
+        """The size of the purified list, no-bias entry included."""
+        return len(self.kept)
 
 
 class GroupScorer(Protocol):
@@ -184,7 +186,7 @@ def gcp(biasing_list: BiasingList, scorer: GroupScorer, params: PurifyParams) ->
         survivors.sort()
         rounds.append(RoundAudit(groups=n_groups, survivors=survivors.size))
     kept = (0, *survivors.tolist())
-    return PurifyResult(kept=kept, m_pur=len(kept), rounds=tuple(rounds))
+    return PurifyResult(kept=kept, rounds=tuple(rounds))
 
 
 def ocp(biasing_list: BiasingList, scorer: GroupScorer, params: PurifyParams) -> PurifyResult:
@@ -194,11 +196,6 @@ def ocp(biasing_list: BiasingList, scorer: GroupScorer, params: PurifyParams) ->
 
 
 def restrict_phi(phi: PhiMask, kept) -> PhiMask:
-    """Containment mask for the kept sublist."""
-    kept = list(kept)
-    if len(set(kept)) != len(kept):
-        raise ValueError("kept indices must be distinct")
-    if kept and (min(kept) < 0 or max(kept) >= phi.matrix.shape[0]):
-        raise ValueError("kept index outside the mask")
+    """Containment mask for the kept sublist; ``kept`` obeys ``check_kept``."""
     # fancy indexing already copies the rows
-    return PhiMask(matrix=phi.matrix[kept])
+    return PhiMask(matrix=phi.matrix[check_kept(kept, phi.matrix.shape[0])])

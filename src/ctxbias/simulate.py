@@ -30,7 +30,8 @@ import numpy as np
 
 from . import rng
 from .bundle import CorrelationBundle, _check_values
-from .corpus import BiasingList, PhiMask, Utterance, Vocabulary, build_phi, validate_spans
+from .corpus import (BiasingList, PhiMask, Utterance, Vocabulary, build_phi, check_kept,
+                     validate_spans)
 from .numeric import expit, logit
 
 # backbone row shape: primary mass on the reference token, a runner-up on
@@ -147,15 +148,6 @@ def _confusion_mask(utt: Utterance, spec: NoiseSpec, span_mask: np.ndarray) -> n
     return (draws < spec.confusion_rate) & span_mask
 
 
-def _jitter(x: np.ndarray, sigma: float, z: np.ndarray) -> np.ndarray:
-    """The list channel's logit-space jitter."""
-    if sigma == 0.0:
-        return x
-    base = logit(np.clip(x, JITTER_FLOOR, JITTER_CAP))
-    base += JITTER_GAIN * sigma * z
-    return expit(base)
-
-
 class SyntheticScorer:
     """Ground-truth-derived correlation scores for one utterance.
 
@@ -175,7 +167,6 @@ class SyntheticScorer:
     ) -> None:
         validate_spans(utt, biasing_list)
         self.utt = utt
-        self.biasing_list = biasing_list
         self.vocab = vocab
         self.spec = spec
         self.phi = phi if phi is not None else build_phi(biasing_list, vocab)
@@ -191,25 +182,22 @@ class SyntheticScorer:
         # every bundle shares these two; they are never written after the build
         self._q_tok.flags.writeable = False
         self._p_bb.flags.writeable = False
-        # the list-channel draws depend on the step alone, not on the queried
-        # sublist; drawing them once keeps repeated group queries cheap
+        # a group's list correlation is the list noise, which depends on the
+        # step alone, applied to the largest evidence among its members, one
+        # of EVIDENCE_LEVELS; so the noise is applied once to every level at
+        # every step, and a query picks its entries from this (levels, U)
+        # table by the ranks in _ev_rank
         steps = np.arange(u, dtype=np.uint64)
-        self._flip_draws = (
-            rng.uniform_field(rng.stream_key(spec.seed, "flip", utt.uid), steps)
-            if spec.label_flip_rate > 0.0
-            else None
-        )
-        self._z_list = (
-            rng.normal_field(rng.stream_key(spec.seed, "qlist", utt.uid), steps)
-            if spec.score_jitter_sigma > 0.0
-            else None
-        )
-        # a group's list correlation is the list noise applied to the largest
-        # evidence among its members, step by step, and that evidence is one
-        # of EVIDENCE_LEVELS; the noise is elementwise, so it is applied once
-        # to every level at every step, and a query picks its entries from
-        # this (levels, U) table by the ranks in _ev_rank
-        self._list_table = self._apply_list_noise(np.repeat(EVIDENCE_LEVELS[:, None], u, axis=1))
+        table = np.repeat(EVIDENCE_LEVELS[:, None], u, axis=1)
+        if spec.label_flip_rate > 0.0:
+            flip = rng.uniform_field(rng.stream_key(spec.seed, "flip", utt.uid), steps)
+            table = np.where(flip < spec.label_flip_rate, 1.0 - table, table)
+        if spec.score_jitter_sigma > 0.0:
+            z = rng.normal_field(rng.stream_key(spec.seed, "qlist", utt.uid), steps)
+            table = logit(np.clip(table, JITTER_FLOOR, JITTER_CAP))
+            table += JITTER_GAIN * spec.score_jitter_sigma * z
+            table = expit(table)
+        self._list_table = table
         self._ev_slot = np.full(self._m, -1, dtype=np.intp)
         self._ev_slot[ev_cols] = np.arange(len(ev_cols))
         self._steps = np.arange(u)
@@ -249,8 +237,8 @@ class SyntheticScorer:
         sigma = self.spec.score_jitter_sigma
         if sigma == 0.0:
             return ev
-        # logit-space jitter, as _jitter applies it but with the phrase head's
-        # gain and floor, written into the noise field: a cell without
+        # the list channel's logit-space jitter, with the phrase head's gain
+        # and floor, written into the noise field: a cell without
         # evidence clips to the floor, so all such cells share one logit, and
         # only the few cells with evidence need their own
         z = rng.normal_field(
@@ -328,13 +316,6 @@ class SyntheticScorer:
 
     # -- queries ---------------------------------------------------------
 
-    def _apply_list_noise(self, q: np.ndarray) -> np.ndarray:
-        if self._flip_draws is not None:
-            q = np.where(self._flip_draws < self.spec.label_flip_rate, 1.0 - q, q)
-        if self._z_list is not None:
-            q = _jitter(q, self.spec.score_jitter_sigma, self._z_list)
-        return q
-
     def q_list_groups(self, members, group_size: int) -> np.ndarray:
         """(G, U) list correlations of consecutive groups of ``members``.
 
@@ -370,13 +351,18 @@ class SyntheticScorer:
         m entries). ``q_tok`` and ``p_bb`` are read-only views shared by every
         bundle of this scorer. Every array is taken from the arrays checked
         against the bundle contract when the scorer was built, so the bundle
-        is not checked again."""
+        is not checked again. The indices obey ``check_kept``."""
         if members is None:
             members = np.arange(self._m, dtype=np.intp)
         else:
             members = np.asarray(members, dtype=np.intp)
-            if members.size == 0 or members[0] != 0:
-                raise ValueError("a sublist bundle must start with the no-bias entry")
+            if members.ndim != 1:
+                raise ValueError(f"kept indices have shape {members.shape}, expected (n,)")
+            # a set ascending from 0 to below M obeys check_kept, and array
+            # operations decide that cheaply; any other set goes to check_kept
+            if not (members.size and members[0] == 0 and members[-1] < self._m
+                    and (members[1:] > members[:-1]).all()):
+                check_kept(members.tolist(), self._m)
         return CorrelationBundle._of_checked(
             q_list=self.q_list_for(members),
             q_phr=self.q_phr_for(members),

@@ -137,13 +137,13 @@ def _guarded_decode(
     hyp_bb = greedy_decode(bundle.p_bb)
     q_casr = interpolate(bundle.p_bb, q_bias, weight)
     hyp_casr = greedy_decode(q_casr)
-    kept = post_process(hyp_casr, hyp_bb, biasing_list)
+    hyp_final, count_casr, count_bb = post_process(hyp_casr, hyp_bb, biasing_list)
     return DecodeResult(
         hyp_bb=hyp_bb,
         hyp_casr=hyp_casr,
-        hyp_final=tuple(kept),
-        count_bb=kept.count_bb,
-        count_casr=kept.count_casr,
+        hyp_final=hyp_final,
+        count_bb=count_bb,
+        count_casr=count_casr,
         q_bias=q_bias,
         weight=weight,
         q_sphr=q_sphr,

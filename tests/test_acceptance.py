@@ -259,7 +259,7 @@ def test_criterion_6_oracle_equivalence(capsys):
         phi = corpus.build_phi(bl, vocab)
         naive = np.zeros((bl.size, vocab.size), dtype=np.uint8)
         for m, phrase in enumerate(bl.phrases):
-            for tok in phrase.tokens:
+            for tok in phrase:
                 naive[m, tok] = 1
         assert np.array_equal(phi.matrix, naive)
 

@@ -41,7 +41,7 @@ def test_biasing_list_shape_rules():
     v = _vocab()
     bl = corpus.make_biasing_list([(2, 3), (4, 5, 6)], v)
     assert bl.size == 3
-    assert bl.phrases[0].tokens == (v.no_bias_index,)
+    assert bl.phrases[0] == (v.no_bias_index,)
     assert list(bl.real_indices()) == [1, 2]
 
     with pytest.raises(ValueError, match="duplicate"):
@@ -50,6 +50,15 @@ def test_biasing_list_shape_rules():
         corpus.make_biasing_list([(2,)], v)
     with pytest.raises(ValueError, match="length"):
         corpus.make_biasing_list([tuple(range(2, 2 + 20))], _vocab(n_chars=25))
+    with pytest.raises(ValueError, match="length 0"):
+        corpus.make_biasing_list([(2, 3), ()], v)
+    # a phrase is a tuple of token ids, never coerced from anything else
+    holder = type("Holder", (), {"tokens": (4, 5)})()
+    for m, phrase in ((1, [4, 5]), (2, holder), (0, [v.no_bias_index])):
+        phrases = [(v.no_bias_index,), (2, 3), (6, 7)]
+        phrases[m] = phrase
+        with pytest.raises(ValueError, match=f"phrase {m} is a (list|Holder)"):
+            corpus.BiasingList(phrases=tuple(phrases), no_bias_token=v.no_bias_index)
 
 
 def test_sublist_preserves_entries():
@@ -57,7 +66,7 @@ def test_sublist_preserves_entries():
     bl = corpus.make_biasing_list([(2, 3), (4, 5), (6, 7)], v)
     sub = bl.sublist([0, 2])
     assert sub.size == 2
-    assert sub.phrases[1].tokens == (4, 5)
+    assert sub.phrases[1] == (4, 5)
     with pytest.raises(ValueError):
         bl.sublist([1, 2])
 
@@ -81,6 +90,8 @@ def test_sublist_rejects_bad_indices_and_equals_a_validated_list():
         assert sub == validated
         assert sub._scan_index == validated._scan_index
     assert bl.sublist(np.array([0, 4, 2])) == bl.sublist((0, 4, 2))
+    with pytest.raises(ValueError, match="first kept index is 4, not"):
+        bl.sublist(np.array([4, 0]))
 
 
 def test_phi_mask_contents():
@@ -125,7 +136,7 @@ def _brute_force_scan(tokens, biasing_list):
     ranked = sorted(range(1, biasing_list.size), key=lambda m: -len(biasing_list.phrases[m]))
     while i < len(seq):
         for m in ranked:
-            t = biasing_list.phrases[m].tokens
+            t = biasing_list.phrases[m]
             if seq[i : i + len(t)] == t:
                 found.append((i, m))
                 i += len(t)

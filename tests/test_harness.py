@@ -15,7 +15,7 @@ from ctxbias import purify
 from ctxbias.bundle import save_bundle
 from ctxbias.harness import cli, config, corpusgen, report, runner
 from ctxbias.jointdecode import attention_decode, count_phrases, decode_utterance, greedy_decode
-from ctxbias.metrics import MetricsReport, cer
+from ctxbias.metrics import MetricsReport, cer, retention_rate
 from ctxbias.simulate import SyntheticScorer, synth_backbone
 from ctxbias.smoothing import guided_phrase_smooth, triangular_smooth
 
@@ -111,7 +111,7 @@ def test_generate_nested_lists_and_shape():
     assert small.size == 51 and big.size == 101
     assert small.phrases == big.phrases[:51]
     assert big.phrases == corp.pool.sublist(tuple(range(101))).phrases
-    assert len({p.tokens for p in corp.pool.phrases}) == corp.pool.size
+    assert len(set(corp.pool.phrases)) == corp.pool.size
 
 
 def test_generate_spans_scan_cleanly():
@@ -139,11 +139,10 @@ def test_generate_pool_contains_confusable_variants():
     cfg = _small_config(list_lengths=(51, 601), n_utterances=8, n_chars=60)
     corp = corpusgen.generate_corpus(cfg)
     vocab = corp.vocabulary
-    golds = [p.tokens for p in corp.pool.phrases[:50]]
+    golds = list(corp.pool.phrases[:50])
     gold_set = set(golds)
     swaps = 0
-    for phrase in corp.pool.phrases[200:]:
-        t = phrase.tokens
+    for t in corp.pool.phrases[200:]:
         if len(t) != corpusgen.GOLD_LEN:
             continue
         for g in golds:
@@ -152,7 +151,7 @@ def test_generate_pool_contains_confusable_variants():
                 swaps += 1
                 break
     assert swaps >= 40  # almost every gold contributes its single swaps
-    assert not any(p.tokens in gold_set for p in corp.pool.phrases[50:])
+    assert not any(p in gold_set for p in corp.pool.phrases[50:])
 
 
 def test_generate_is_deterministic():
@@ -160,7 +159,7 @@ def test_generate_is_deterministic():
     a = corpusgen.generate_corpus(cfg)
     b = corpusgen.generate_corpus(cfg)
     assert [u.tokens for u in a.utterances] == [u.tokens for u in b.utterances]
-    assert [p.tokens for p in a.pool.phrases] == [p.tokens for p in b.pool.phrases]
+    assert a.pool.phrases == b.pool.phrases
     c = corpusgen.generate_corpus(config.ExperimentConfig(**{**cfg.__dict__, "seed": 1}))
     assert [u.tokens for u in c.utterances] != [u.tokens for u in a.utterances]
 
@@ -298,6 +297,9 @@ def test_sweep_metrics_match_direct_recomputation():
         r = cell.report
         assert (r.substitutions, r.insertions, r.deletions) == tuple(edits)
         assert r.cer == edits.sum() / r.ref_length
+        # the slow form: an unpurified cell keeps the full list
+        kept = [o.kept if o.kept is not None else tuple(range(bl.size)) for o in cell.outcomes]
+        assert r.retention == retention_rate(kept, [refs[o.uid].spans for o in cell.outcomes])
 
 
 def test_sweep_builds_one_scorer_per_utterance_seed(monkeypatch):

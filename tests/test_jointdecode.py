@@ -1,5 +1,3 @@
-import pickle
-
 import numpy as np
 import pytest
 
@@ -20,7 +18,7 @@ def _clean_case(spans=((1, 3, 1), (4, 6, 2))):
     bl = corpus.make_biasing_list([(2, 3), (4, 5), (6, 7, 8)], v)
     tokens = [10, 11, 12, 13, 14, 15, 16]
     for start, end, m in spans:
-        tokens[start:end] = bl.phrases[m].tokens
+        tokens[start:end] = bl.phrases[m]
     utt = corpus.Utterance("u0", tuple(tokens), 2.0, tuple(corpus.Span(*s) for s in spans))
     bundle = simulate.SyntheticScorer(utt, bl, v, simulate.NoiseSpec(seed=7)).bundle()
     phi = corpus.build_phi(bl, v)
@@ -86,7 +84,7 @@ def test_joint_intersection_points_at_phrase_tokens():
     )
     assert np.allclose(out.sum(axis=1), 1.0, atol=1e-9)
     for u in (1, 2):
-        assert np.argmax(out[u]) in bl.phrases[1].tokens
+        assert np.argmax(out[u]) in bl.phrases[1]
     with pytest.raises(ValueError):
         jointdecode.joint_intersection(np.ones(3), bundle.q_phr, bundle.q_tok, phi)
 
@@ -131,9 +129,9 @@ def test_post_process_requires_strict_improvement():
     bl = corpus.make_biasing_list([(2, 3)], v)
     with_phrase = (2, 3, 9)
     without = (9, 9, 9)
-    assert jointdecode.post_process(with_phrase, without, bl) == with_phrase
-    assert jointdecode.post_process((2, 3, 8), (2, 3, 9), bl) == (2, 3, 9)
-    assert jointdecode.post_process(without, without, bl) == without
+    assert jointdecode.post_process(with_phrase, without, bl) == (with_phrase, 1, 0)
+    assert jointdecode.post_process((2, 3, 8), (2, 3, 9), bl) == ((2, 3, 9), 1, 1)
+    assert jointdecode.post_process(without, without, bl) == (without, 0, 0)
 
 
 def test_decode_zero_noise_recovers_reference():
@@ -201,7 +199,7 @@ def test_post_process_never_loses_phrases():
     for _ in range(50):
         hyp_a = tuple(rng.integers(2, 10, size=6).tolist())
         hyp_b = tuple(rng.integers(2, 10, size=6).tolist())
-        final = jointdecode.post_process(hyp_a, hyp_b, bl)
+        final = jointdecode.post_process(hyp_a, hyp_b, bl)[0]
         assert jointdecode.count_phrases(final, bl) >= jointdecode.count_phrases(hyp_b, bl)
 
 
@@ -239,8 +237,8 @@ def test_attention_stub_decodes_clean_input():
 
 def test_decode_results_carry_the_guard_counts():
     """Both decoders hand out the two phrase counts the guard compared,
-    counted against the decoded list, and the guard's answer is a plain
-    token tuple that also carries them, through a pickle too."""
+    counted against the decoded list, the same counts the guard returns
+    with the hypothesis it kept."""
     config = ExperimentConfig(n_utterances=30, confusion_rate=0.3, distractor_boost=0.3,
                               score_jitter_sigma=0.3)
     corp = generate_corpus(config)
@@ -254,12 +252,8 @@ def test_decode_results_carry_the_guard_counts():
             assert res.count_bb == jointdecode.count_phrases(res.hyp_bb, bl)
             assert res.count_casr == jointdecode.count_phrases(res.hyp_casr, bl)
             assert type(res.hyp_final) is tuple
-            kept = jointdecode.post_process(res.hyp_casr, res.hyp_bb, bl)
-            assert kept == res.hyp_final
-            assert (kept.count_casr, kept.count_bb) == (res.count_casr, res.count_bb)
-            again = pickle.loads(pickle.dumps(kept))
-            assert again == kept and (again.count_casr, again.count_bb) == (kept.count_casr,
-                                                                            kept.count_bb)
+            assert jointdecode.post_process(res.hyp_casr, res.hyp_bb, bl) == (
+                res.hyp_final, res.count_casr, res.count_bb)
             kept_biased += res.hyp_final != res.hyp_bb
     assert kept_biased  # the guard let some biased hypotheses through
 

@@ -149,7 +149,7 @@ def test_zero_noise_batch_total_is_tiny():
     for k in range(10):
         toks = [9 + (k + j) % 10 for j in range(8)]
         m = 1 + k % 3
-        phrase = bl.phrases[m].tokens
+        phrase = bl.phrases[m]
         toks[2 : 2 + len(phrase)] = phrase
         utt = corpus.Utterance(
             f"u{k}", tuple(toks), 2.0, (corpus.Span(2, 2 + len(phrase), m),)

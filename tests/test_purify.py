@@ -29,7 +29,7 @@ def _utterance_for(bl, gold_indices, uid="u0"):
     spans = []
     for m in gold_indices:
         start = len(tokens)
-        tokens.extend(bl.phrases[m].tokens)
+        tokens.extend(bl.phrases[m])
         spans.append(corpus.Span(start, len(tokens), m))
         tokens.append(5)
     return corpus.Utterance(uid, tuple(tokens), 2.0, tuple(spans))
@@ -306,8 +306,16 @@ def test_restrict_phi():
     sub = purify.restrict_phi(phi, kept)
     rebuilt = corpus.build_phi(bl.sublist(kept), v)
     assert np.array_equal(sub.matrix, rebuilt.matrix)
-    with pytest.raises(ValueError):
-        purify.restrict_phi(phi, [0, 99])
+    # the sublist's rule, with the same messages: the no-bias row first,
+    # rows in range, no row twice
+    for bad, named in (([], "first kept index is missing"), ([2, 3], "first kept index is 2,"),
+                       ([0, -1], "index -1 is outside 0..6"), ([0, 99], "index 99 is outside"),
+                       (range(8), "index 7 is outside"), ([0, 2, 2], "index 2 repeats"),
+                       ([0, 0], "index 0 repeats"), ([0, 5, 2, 2, 5], "index 5 repeats")):
+        with pytest.raises(ValueError, match=named):
+            purify.restrict_phi(phi, bad)
+        with pytest.raises(ValueError, match=named):
+            bl.sublist(bad)
 
 
 def test_params_validation():

@@ -92,7 +92,7 @@ def test_lean_build_equals_parent_build_bit_for_bit(spec_name, corp):
                 bl = corpus.make_biasing_list([phrase], vocab)
             else:
                 bl = corp.lists[m]
-            phrases = {i: bl.phrases[i].tokens for i in range(1, bl.size)}
+            phrases = {i: bl.phrases[i] for i in range(1, bl.size)}
             phi = corpus.build_phi(bl, vocab)
             for utt in _utterances(u, phrases, gen, vocab):
                 new = simulate.SyntheticScorer(utt, bl, vocab, spec, phi)
@@ -109,7 +109,7 @@ def test_wide_token_jitter_draws_every_row_as_the_parent_did(corp):
     exactly, every row is drawn: the same rows come out, or the same error."""
     vocab, bl = corp.vocabulary, corp.lists[51]
     gen = np.random.default_rng(3)
-    phrases = {i: bl.phrases[i].tokens for i in range(1, bl.size)}
+    phrases = {i: bl.phrases[i] for i in range(1, bl.size)}
     outcomes = set()
     # exp overflows on both sides at these widths; the outcomes are compared
     with np.errstate(over="ignore", invalid="ignore"):

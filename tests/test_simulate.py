@@ -23,7 +23,7 @@ def _setup(spans=((2, 4, 1),), n_utt_tokens: int = 8):
     bl = corpus.make_biasing_list([(2, 3), (4, 5, 6), (3, 4), (7, 8)], v)
     tokens = list(range(9, 9 + n_utt_tokens))
     for start, end, m in spans:
-        tokens[start:end] = bl.phrases[m].tokens
+        tokens[start:end] = bl.phrases[m]
     utt = corpus.Utterance(
         "u0", tuple(tokens), 2.0, tuple(corpus.Span(*s) for s in spans)
     )
@@ -316,6 +316,18 @@ def test_prefix_slice_of_longest_scorer_matches_fresh_scorer():
                 assert np.array_equal(getattr(a, name), getattr(b, name)), (utt.uid, m, name)
             for pick in (purify.gcp, purify.ocp):
                 assert pick(bl, big, params).kept == pick(bl, fresh, params).kept
+    # a kept set means what it means to the sublist: no wrapped negative
+    # index, no bare IndexError past the end, no missing no-bias entry
+    for bad, named in (([], "first kept index is missing"), ([2, 3], "first kept index is 2,"),
+                       ([0, -1], "index -1 is outside 0..600"), ([0, 601], "index 601 is outside"),
+                       (np.arange(602), "index 601 is outside"), ([0, 2, 2], "index 2 repeats"),
+                       ([0, 5, 2, 2, 5], "index 5 repeats")):
+        with pytest.raises(ValueError, match=named):
+            big.bundle(bad)
+        with pytest.raises(ValueError, match=named):
+            longest.sublist(bad)
+    with pytest.raises(ValueError, match=r"shape \(1, 2\)"):
+        big.bundle(np.zeros((1, 2), dtype=int))
 
 
 def _dense_distractors(ev, scorer):
