@@ -13,6 +13,7 @@ import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -303,9 +304,12 @@ def scan_occurrences(tokens, biasing_list: BiasingList) -> tuple[tuple[int, int]
 
 
 def build_phi(biasing_list: BiasingList, vocab: Vocabulary) -> PhiMask:
+    """The containment mask, filled by one scatter: row m once per token of phrase m."""
+    phrases = biasing_list.phrases
     matrix = np.zeros((biasing_list.size, vocab.size), dtype=np.uint8)
-    for m, phrase in enumerate(biasing_list.phrases):
-        matrix[m, list(phrase)] = 1
+    rows = np.repeat(np.arange(len(phrases)), list(map(len, phrases)))
+    cols = np.fromiter(chain.from_iterable(phrases), dtype=np.intp, count=rows.size)
+    matrix[rows, cols] = 1
     return PhiMask(matrix=matrix)
 
 
@@ -356,17 +360,32 @@ def load_utterances(path, vocab: Vocabulary, biasing_list: BiasingList | None = 
 
     Spans are formatted ``start:end:phrase_index`` and separated by
     semicolons. When a biasing list is supplied, each span is also checked
-    against the referenced phrase and rejected with the offending id.
+    against the referenced phrase and rejected with the offending id. A
+    repeated id, or a duration or span field that does not parse, is
+    rejected with its line number.
     """
     utterances: list[Utterance] = []
+    line_of: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not raw.strip():
             continue
         parts = raw.split("\t")
         if len(parts) not in (3, 4):
             raise ValueError(f"line {lineno}: expected 3 or 4 tab-separated fields")
-        uid, text, dur = parts[0], parts[1], float(parts[2])
-        spans = _parse_spans(parts[3]) if len(parts) == 4 else ()
+        uid, text = parts[0], parts[1]
+        if uid in line_of:
+            raise ValueError(f"line {lineno}: utterance id {uid!r} repeats line {line_of[uid]}")
+        line_of[uid] = lineno
+        try:
+            dur = float(parts[2])
+        except ValueError:
+            raise ValueError(f"line {lineno}: duration {parts[2]!r} is not a number") from None
+        try:
+            spans = _parse_spans(parts[3]) if len(parts) == 4 else ()
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: span field {parts[3]!r} is not start:end:phrase[;...]"
+            ) from None
         utt = Utterance(uid=uid, tokens=vocab.encode(text), duration_seconds=dur, spans=spans)
         if biasing_list is not None:
             validate_spans(utt, biasing_list)

@@ -69,7 +69,23 @@ def _draw_golds(rng, vocab: Vocabulary, lo: int, hi: int) -> list[tuple[int, ...
     return golds
 
 
-def _draw_utterance(rng, config: ExperimentConfig, golds, lo, hi, uid):
+def stray_gold(tokens, spans, gold_index) -> bool:
+    """Whether a gold phrase matches ``tokens`` at some window other than one
+    of the ``spans``' own (start, phrase) sites.
+
+    ``gold_index`` maps each gold's token tuple to its phrase index; golds
+    are distinct, so a window matches at most one of them and one lookup per
+    window decides it.
+    """
+    own = {(s.start, s.phrase) for s in spans}
+    for w, window in enumerate(zip(*(tokens[k:] for k in range(GOLD_LEN)))):
+        phrase = gold_index.get(window)
+        if phrase is not None and (w, phrase) not in own:
+            return True
+    return False
+
+
+def _draw_utterance(rng, config: ExperimentConfig, golds, gold_index, lo, hi, uid):
     u = int(rng.integers(config.u_min, config.u_max + 1))
     n_spans = 0
     if rng.random() < config.span_rate:
@@ -91,17 +107,9 @@ def _draw_utterance(rng, config: ExperimentConfig, golds, lo, hi, uid):
         spans.append(Span(start, start + GOLD_LEN, int(pick) + 1))
         covered.update(range(start, start + GOLD_LEN))
 
-    def stray_match():
-        span_at = {(s.start, s.phrase) for s in spans}
-        for g_idx, g in enumerate(golds):
-            for w in range(u - GOLD_LEN + 1):
-                if tuple(tokens[w : w + GOLD_LEN]) == g and (w, g_idx + 1) not in span_at:
-                    return True
-        return False
-
     filler = [i for i in range(u) if i not in covered]
     tries = 0
-    while stray_match():
+    while stray_gold(tokens, spans, gold_index):
         # only redraw filler; span sites are fixed
         fresh = rng.integers(lo, hi, size=len(filler))
         for pos, tok in zip(filler, fresh):
@@ -145,28 +153,29 @@ def generate_corpus(config: ExperimentConfig) -> Corpus:
     lo, hi = 2, 2 + config.n_chars
 
     golds = _draw_golds(rng, vocab, lo, hi)
+    gold_index = {g: i for i, g in enumerate(golds, start=1)}
     utterances = tuple(
-        _draw_utterance(rng, config, golds, lo, hi, f"utt{i:04d}")
+        _draw_utterance(rng, config, golds, gold_index, lo, hi, f"utt{i:04d}")
         for i in range(config.n_utterances)
     )
 
-    # windows of every reference text, by length, for rejection sampling
+    # windows of every reference text, by length, for rejection sampling:
+    # randoms have 2..MAX_RANDOM_LEN tokens and variants GOLD_LEN or one more
     text_windows: dict[int, set] = {
-        n: set() for n in range(2, MAX_RANDOM_LEN + 2)
+        n: set() for n in range(2, MAX_RANDOM_LEN + 1)
     }
     for utt in utterances:
         for n in text_windows:
             text_windows[n].update(_windows(utt.tokens, n))
 
-    gold_set = set(golds)
     seen = set(golds)
 
     def acceptable(cand: tuple[int, ...]) -> bool:
         if cand in seen:
             return False
-        if len(cand) >= GOLD_LEN and any(w in gold_set for w in _windows(cand, GOLD_LEN)):
+        if len(cand) >= GOLD_LEN and any(w in gold_index for w in _windows(cand, GOLD_LEN)):
             return False
-        return cand not in text_windows.get(len(cand), ())
+        return cand not in text_windows[len(cand)]
 
     def draw_random() -> tuple[int, ...]:
         top = min(MAX_RANDOM_LEN, config.u_min)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from ctxbias import corpus
+from ctxbias.harness.config import ExperimentConfig
+from ctxbias.harness.corpusgen import generate_corpus
 
 
 def _vocab(n_chars: int = 12, seed: int = 0) -> corpus.Vocabulary:
@@ -94,6 +96,14 @@ def test_sublist_rejects_bad_indices_and_equals_a_validated_list():
         bl.sublist(np.array([4, 0]))
 
 
+def _phi_oracle(biasing_list, vocab):
+    """The mask by one assignment per phrase, the obvious build."""
+    matrix = np.zeros((biasing_list.size, vocab.size), dtype=np.uint8)
+    for m, phrase in enumerate(biasing_list.phrases):
+        matrix[m, list(phrase)] = 1
+    return matrix
+
+
 def test_phi_mask_contents():
     v = _vocab()
     bl = corpus.make_biasing_list([(2, 3), (3, 4)], v)
@@ -101,6 +111,16 @@ def test_phi_mask_contents():
     assert phi.matrix.shape == (3, v.size)
     assert phi.matrix[0, v.no_bias_index] == 1
     assert phi.matrix[1, 2] == 1 and phi.matrix[1, 3] == 1 and phi.matrix[1, 4] == 0
+    # phrases that repeat a token
+    for phrases in ([(2, 2, 3)], [(5, 4, 5, 4)]):
+        bl = corpus.make_biasing_list(phrases, v)
+        assert np.array_equal(corpus.build_phi(bl, v).matrix, _phi_oracle(bl, v))
+    corp = generate_corpus(ExperimentConfig(n_utterances=20))
+    assert sorted(corp.lists) == [51, 201, 601, 1196]
+    for bl in corp.lists.values():
+        got = corpus.build_phi(bl, corp.vocabulary).matrix
+        want = _phi_oracle(bl, corp.vocabulary)
+        assert got.dtype == want.dtype and np.array_equal(got, want), bl.size
 
 
 def _by_token_oracle(matrix):
@@ -203,6 +223,27 @@ def test_load_biasing_list_rejects_bad_files(tmp_path):
     dup.write_text(f"{line}\n{line}\n", encoding="utf-8")
     with pytest.raises(ValueError, match="duplicate"):
         corpus.load_biasing_list(dup, v)
+
+
+def test_load_utterances_rejects_bad_rows(tmp_path):
+    v = _vocab()
+    text = v.tokens[2] + v.tokens[3] + v.tokens[4]
+    path = tmp_path / "utts.tsv"
+    bad_rows = {
+        # a repeated id would score one text against another's reference
+        f"u1\t{text}\t0.75\n\nu2\t{text}\t0.75\nu1\t{text}\t0.5\n":
+            r"line 4: utterance id 'u1' repeats line 1",
+        f"u1\t{text}\t0.75\nu2\t{text}\tx\n": r"line 2: duration 'x' is not a number",
+        f"u1\t{text}\t0.75\t0:2\n": r"line 1: span field '0:2' is not",
+        f"u1\t{text}\t0.75\t0:3:1;x:2:1\n": r"line 1: span field '0:3:1;x:2:1' is not",
+        f"u1\t{text}\t0.75\t0:3:1:4\n": r"line 1: span field",
+    }
+    for rows, message in bad_rows.items():
+        path.write_text(rows, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            corpus.load_utterances(path, v)
+    path.write_text(f"u1\t{text}\t0.75\t0:3:1\nu2\t{text}\t0.5\n", encoding="utf-8")
+    assert [u.uid for u in corpus.load_utterances(path, v)] == ["u1", "u2"]
 
 
 def test_utterance_file_round_trip(tmp_path):

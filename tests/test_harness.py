@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
@@ -164,6 +165,99 @@ def test_generate_is_deterministic():
     assert [u.tokens for u in c.utterances] != [u.tokens for u in a.utterances]
 
 
+def _corpus_digest(corp):
+    h = hashlib.sha256()
+    h.update(repr((corp.vocabulary.tokens, corp.vocabulary.confusable)).encode("utf-8"))
+    h.update(repr(corp.pool.phrases).encode("utf-8"))
+    for u in corp.utterances:
+        spans = tuple((s.start, s.end, s.phrase) for s in u.spans)
+        h.update(repr((u.uid, u.tokens, u.duration_seconds, spans)).encode("utf-8"))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("fields, digest", [
+    ({}, "d89474cfe8bf7928a76afba5a61a7516df939d151c850293d71812edb97bcb27"),
+    # purify_stress's corpus
+    ({"n_utterances": 400, "list_lengths": (1196,)},
+     "4f496dd782dc023e4be3ab76201fc423ab93607f15f53bcf43b99e731b8c7611"),
+    # every utterance the tightest two-span layout, U = 7
+    ({"n_utterances": 300, "u_min": 7, "u_max": 7, "span_rate": 1.0, "two_span_rate": 1.0},
+     "1d71695f9c6bd38509c541324c6b1933aac5ad448c508fc1fb8650b30f29b6ad"),
+    # the smallest alphabet: the scrub redraws filler 17 times in 200 utterances,
+    # where the configs above never meet a stray gold
+    ({"n_chars": 20}, "df2277249f6a5a87b38bc96688166774f5eada0b64e53d3969d1ad8623516bce"),
+], ids=["default", "purify_stress", "two_spans_at_u7", "twenty_chars"])
+def test_generate_corpus_is_pinned(fields, digest):
+    # vocabulary, pool and utterances as the double-loop scrub check and the
+    # full set of reference n-gram lengths generated them
+    corp = corpusgen.generate_corpus(config.ExperimentConfig(**fields))
+    assert _corpus_digest(corp) == digest
+    if fields.get("two_span_rate") == 1.0:
+        assert all(len(u.spans) == 2 for u in corp.utterances)
+
+
+def _stray_gold_oracle(tokens, spans, golds):
+    """The scrub check as a double loop: every gold at every window."""
+    span_at = {(s.start, s.phrase) for s in spans}
+    for g_idx, g in enumerate(golds):
+        for w in range(len(tokens) - corpusgen.GOLD_LEN + 1):
+            if tuple(tokens[w : w + corpusgen.GOLD_LEN]) == g and (w, g_idx + 1) not in span_at:
+                return True
+    return False
+
+
+def test_stray_gold_equals_the_double_loop():
+    gen = np.random.default_rng(3)
+    glen = corpusgen.GOLD_LEN
+    n_tok = 4  # a tiny alphabet, so stray golds are common
+    draws = (tuple(int(t) for t in gen.integers(0, n_tok, size=glen)) for _ in range(40))
+    golds = list(dict.fromkeys([(1,) * glen, *draws]))  # distinct, one of a single token
+    index = {g: i for i, g in enumerate(golds, start=1)}
+
+    def layout(tokens, starts):
+        spans = []
+        for start in starts:
+            pick = int(gen.integers(len(golds)))
+            tokens[start : start + glen] = golds[pick]
+            spans.append(corpus_mod.Span(start, start + glen, pick + 1))
+        return tokens, spans
+
+    cases = []
+    for _ in range(3000):
+        u = int(gen.integers(glen, 12))
+        tokens = [int(t) for t in gen.integers(0, n_tok, size=u)]
+        n_spans = int(gen.integers(0, 3)) if u >= 2 * glen + 1 else int(gen.integers(0, 2))
+        if n_spans == 2:
+            s1 = int(gen.integers(0, u - 2 * glen))
+            starts = [s1, int(gen.integers(s1 + glen + 1, u - glen + 1))]
+        else:
+            starts = [int(gen.integers(0, u - glen + 1))] * n_spans
+        cases.append(layout(tokens, starts))
+    # the tightest two-span layout the generator draws: U = 7, spans at 0 and 4
+    for _ in range(200):
+        cases.append(layout([int(t) for t in gen.integers(0, n_tok, size=7)], [0, 4]))
+    # a gold window that overlaps a span without starting at it: stray,
+    # whether it is another gold or the span's own gold one step late
+    ga, gb = next((a, b) for a in golds for b in golds if a != b and b[:-1] == a[1:])
+    overlap = ([9, *ga, gb[-1]], [corpus_mod.Span(1, 1 + glen, index[ga])])
+    rep = golds[0]
+    shifted = ([9, *rep, rep[0]], [corpus_mod.Span(1, 1 + glen, index[rep])])
+    # a span labelled with another gold than the one at its site: stray
+    mislabelled = ([*ga, 9], [corpus_mod.Span(0, glen, index[gb])])
+    clean = ([9, *ga, 9], [corpus_mod.Span(1, 1 + glen, index[ga])])
+    for tokens, spans in (overlap, shifted, mislabelled):
+        assert _stray_gold_oracle(tokens, spans, golds)
+        assert corpusgen.stray_gold(tokens, spans, index)
+    assert not corpusgen.stray_gold(*clean, index)
+
+    outcomes = set()
+    for tokens, spans in cases:
+        want = _stray_gold_oracle(tokens, spans, golds)
+        assert corpusgen.stray_gold(tokens, spans, index) == want, (tokens, spans)
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
 # ---------------------------------------------------------------- runner
 
 
@@ -255,8 +349,9 @@ def _direct_decode(utt, biasing_list, vocab, cfg, method, seed):
     scorer = SyntheticScorer(utt, biasing_list, vocab, noise)
     phi = corpus_mod.build_phi(biasing_list, vocab)
     kept = None
-    if "gcp" in method:
-        kept = purify.gcp(biasing_list, scorer, cfg.purify_for(seed)).kept
+    if "cp" in method:
+        pick = purify.gcp if "gcp" in method else purify.ocp
+        kept = pick(biasing_list, scorer, cfg.purify_for(seed)).kept
         res = decode_utterance(scorer.bundle(kept), biasing_list.sublist(kept),
                                purify.restrict_phi(phi, kept), cfg.smoothing)
     elif method == "attn":
@@ -266,16 +361,9 @@ def _direct_decode(utt, biasing_list, vocab, cfg, method, seed):
     return res.hyp_bb, res.hyp_casr, res.hyp_final, kept
 
 
-def test_sweep_metrics_match_direct_recomputation():
-    cfg = _small_config(
-        n_utterances=10,
-        list_lengths=(51, 201),
-        methods=("baseline", "attn", "joint", "joint_pp", "joint_gcp_pp"),
-        confusion_rate=0.4,
-        distractor_boost=0.3,
-        score_jitter_sigma=0.2,
-        label_flip_rate=0.05,
-    )
+def _sweep_matches_direct_recomputation(cfg):
+    """Run the sweep and recompute every outcome and cell metric the obvious
+    way; return the purified cells' retentions."""
     corp = corpusgen.generate_corpus(cfg)
     results = runner.run_sweep(cfg, corpus=corp, keep_outcomes=True)
     refs = {u.uid: u for u in corp.utterances}
@@ -300,6 +388,36 @@ def test_sweep_metrics_match_direct_recomputation():
         # the slow form: an unpurified cell keeps the full list
         kept = [o.kept if o.kept is not None else tuple(range(bl.size)) for o in cell.outcomes]
         assert r.retention == retention_rate(kept, [refs[o.uid].spans for o in cell.outcomes])
+    return [c.report.retention for (meth, _, _), c in results.items() if meth in runner.PURIFY_METHODS]
+
+
+def test_sweep_metrics_match_direct_recomputation():
+    cfg = _small_config(
+        n_utterances=10,
+        list_lengths=(51, 201),
+        methods=("baseline", "attn", "joint", "joint_pp", "joint_gcp_pp"),
+        confusion_rate=0.4,
+        distractor_boost=0.3,
+        score_jitter_sigma=0.2,
+        label_flip_rate=0.05,
+    )
+    _sweep_matches_direct_recomputation(cfg)
+
+
+def test_sweep_retention_matches_direct_recomputation_when_purification_drops_golds():
+    # under the stress jitter both purifications drop a gold, so a runner
+    # that reports a wrong retention for purified cells cannot pass
+    cfg = _small_config(
+        n_utterances=10,
+        list_lengths=(51, 201),
+        methods=("joint_gcp_pp", "joint_ocp_pp"),
+        confusion_rate=0.4,
+        distractor_boost=0.3,
+        score_jitter_sigma=0.5,
+        label_flip_rate=0.05,
+    )
+    retentions = _sweep_matches_direct_recomputation(cfg)
+    assert len(retentions) == 4 and min(retentions) < 1.0
 
 
 def test_sweep_builds_one_scorer_per_utterance_seed(monkeypatch):
