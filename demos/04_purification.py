@@ -7,12 +7,15 @@ repeats on the survivors. The once variant (ocp) runs a single global
 round instead. Under heavy score jitter the global tournament lets a
 crowd of lucky floor scores push the gold phrase out of the top slots,
 while a 75-member group rarely holds enough rivals to do that. The
-last section times a full-list decode against a purified one.
+last section times a full-list decode against a purified one, which
+decodes through the full list's indexes, and checks it against the
+sublist it stands for.
 """
 
 import time
 
 from ctxbias import (
+    KeptSet,
     NoiseSpec,
     PurifyParams,
     SmoothingParams,
@@ -72,15 +75,27 @@ def main() -> None:
     full = decode_utterance(bundle, blist, phi, SmoothingParams())
     t_full = time.perf_counter() - t0
 
+    # the purified decode reads the full list's scan table and the full
+    # mask's nonzeros through the kept set, checked once
     t0 = time.perf_counter()
     pres = gcp(blist, scorer, params)
-    small = decode_utterance(scorer.bundle(pres.kept), blist.sublist(pres.kept),
-                             restrict_phi(phi, pres.kept), SmoothingParams())
+    kept = KeptSet.of(pres.indices, blist.size)
+    small = decode_utterance(scorer.bundle(kept), blist, phi, SmoothingParams(), kept)
     t_small = time.perf_counter() - t0
 
     same = full.hyp_final == small.hyp_final
     print(f"\ndecode wall time: full list {t_full * 1e3:.1f} ms, "
           f"purify+decode {t_small * 1e3:.1f} ms, same final hypothesis: {same}")
+
+    # the oracle: build the sublist and copy the kept mask rows
+    oracle = decode_utterance(scorer.bundle(pres.kept), blist.sublist(pres.kept),
+                              restrict_phi(phi, pres.kept), SmoothingParams())
+    same_bits = all(getattr(small, f) == getattr(oracle, f)
+                    for f in ("hyp_bb", "hyp_casr", "hyp_final", "count_bb", "count_casr"))
+    same_bits &= all(getattr(small, a).tobytes() == getattr(oracle, a).tobytes()
+                     for a in ("q_bias", "weight", "q_sphr", "q_casr"))
+    print(f"decoded as the sublist with its copied mask rows, every field bit for bit "
+          f"the same: {same_bits}")
 
 
 if __name__ == "__main__":

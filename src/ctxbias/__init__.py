@@ -16,6 +16,7 @@ scorer live in ``ctxbias.reference``, which no other module imports.
 from .bundle import CorrelationBundle
 from .corpus import (
     BiasingList,
+    KeptSet,
     PhiMask,
     Span,
     Utterance,
@@ -50,6 +51,7 @@ __all__ = [
     "BiasingList",
     "CorrelationBundle",
     "DecodeResult",
+    "KeptSet",
     "MetricsReport",
     "NoiseSpec",
     "PhiMask",

@@ -151,6 +151,13 @@ class BiasingList:
         firsts = frozenset(map(operator.itemgetter(0), real))
         return lengths, firsts, dict(zip(real, range(1, self.size)))
 
+    @cached_property
+    def _heads(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every entry's length and first token, as two intp arrays."""
+        return (np.fromiter(map(len, self.phrases), dtype=np.intp, count=self.size),
+                np.fromiter(map(operator.itemgetter(0), self.phrases), dtype=np.intp,
+                            count=self.size))
+
     def real_indices(self) -> np.ndarray:
         return np.arange(1, self.size)
 
@@ -179,6 +186,71 @@ def check_kept(kept, size: int) -> list:
     if len(set(kept)) != len(kept):
         raise ValueError(f"kept index {next(k for k in kept if kept.count(k) > 1)} repeats")
     return kept
+
+
+@dataclass(frozen=True, eq=False)
+class KeptSet:
+    """The kept entries of a ``size``-entry biasing list, checked once:
+    ``indices``, the original indices in kept order, and ``members``, a
+    flag per list entry; both arrays are read-only. Make one with
+    ``KeptSet.of``; the constructor checks nothing. The scorer's ``bundle``
+    and the purified decode take theirs through ``KeptSet.of``, which hands
+    a ``KeptSet`` back as it is, so a kept set made once is not checked
+    again.
+    """
+
+    indices: np.ndarray
+    members: np.ndarray
+
+    @classmethod
+    def of(cls, kept, size: int) -> "KeptSet":
+        """``kept`` as the kept set of a ``size``-entry list: a ``KeptSet``
+        of that list size as it is; anything else must be integers of shape
+        (n,) that obey ``check_kept``, else ``ValueError``. Indices ascending
+        from 0 to below ``size``, the form purification returns, are decided
+        by array operations alone; any other set goes to ``check_kept``."""
+        if isinstance(kept, KeptSet):
+            if kept.members.size != size:
+                raise ValueError(f"the kept set is of a {kept.members.size}-entry list, "
+                                 f"not of {size} entries")
+            return kept
+        indices = np.asarray(kept)
+        if indices.dtype.kind not in "iu" and indices.size:
+            raise ValueError(f"kept indices must be integers, got dtype {indices.dtype}")
+        if indices.ndim != 1:
+            raise ValueError(f"kept indices have shape {indices.shape}, expected (n,)")
+        indices = indices.astype(np.intp, copy=False)
+        if not (indices.size and indices[0] == 0 and indices[-1] < size
+                and (indices[1:] > indices[:-1]).all()):
+            check_kept(indices.tolist(), size)
+        if indices.flags.writeable:  # possibly the caller's own array
+            indices = indices.copy()
+            indices.flags.writeable = False
+        return cls._of_checked(indices, size)
+
+    @classmethod
+    def _of_checked(cls, indices: np.ndarray, size: int) -> "KeptSet":
+        """The kept set of read-only intp indices known to obey
+        ``check_kept`` for a ``size``-entry list, as purification returns
+        them: they are not checked again."""
+        members = np.zeros(size, dtype=bool)
+        members[indices] = True
+        members.flags.writeable = False
+        return cls(indices=indices, members=members)
+
+    def _scan_heads(self, biasing_list: BiasingList) -> tuple[list[int], set[int]]:
+        """The kept real phrases' distinct lengths, longest first, and their
+        first tokens: what ``scan_occurrences`` needs beyond the list's own
+        table. Worked out once per list; a purified decode scans twice."""
+        cached = self.__dict__.get("_heads")
+        if cached is None or cached[0] is not biasing_list:
+            phrase_lengths, phrase_firsts = biasing_list._heads
+            real = self.indices[1:]
+            cached = (biasing_list,
+                      np.bincount(phrase_lengths[real]).nonzero()[0][::-1].tolist(),
+                      set(phrase_firsts[real].tolist()))
+            self.__dict__["_heads"] = cached
+        return cached[1], cached[2]
 
 
 def make_biasing_list(token_seqs, vocab: Vocabulary) -> BiasingList:
@@ -257,13 +329,32 @@ class PhiMask:
         """
         # one flat nonzero over the transposed copy is far cheaper than a 2-d
         # np.nonzero; its flat positions are token * M + phrase, ascending
-        flat = self.matrix.T.ravel().nonzero()[0]
-        token_of, phrases = np.divmod(flat, self.matrix.shape[0])
-        first = np.empty(token_of.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(token_of[1:], token_of[:-1], out=first[1:])
-        starts = first.nonzero()[0]
-        return token_of[starts], starts, phrases
+        return _group_by_token(self.matrix.T.ravel().nonzero()[0], self.matrix.shape[0])
+
+    @cached_property
+    def _by_phrase(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzeros grouped by phrase, as (starts, sizes, tokens): phrase
+        m contains ``tokens[starts[m]:starts[m] + sizes[m]]``, ascending."""
+        m, v = self.matrix.shape
+        rows, tokens = np.divmod(self.matrix.ravel().nonzero()[0], v)
+        starts = np.searchsorted(rows, np.arange(m))
+        return starts, np.diff(starts, append=rows.size), tokens
+
+    def _kept_by_token(self, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``by_token`` of the kept rows, ``restrict_phi(self, kept).by_token``,
+        gathered from this mask's cached nonzeros instead of copying the rows
+        and indexing them from scratch; ``kept`` holds ``KeptSet`` indices."""
+        starts, sizes, tokens = self._by_phrase
+        sizes = sizes[kept]
+        ends = np.cumsum(sizes)
+        # the kept rows' nonzeros, row after row, keyed token * k + row and
+        # sorted
+        pos = np.repeat(starts[kept] + sizes - ends, sizes)
+        pos += np.arange(pos.size)
+        key = tokens[pos] * kept.size
+        key += np.repeat(np.arange(kept.size), sizes)
+        key.sort()
+        return _group_by_token(key, kept.size)
 
     @cached_property
     def dense(self) -> np.ndarray:
@@ -280,21 +371,43 @@ class PhiMask:
         return sizes
 
 
-def scan_occurrences(tokens, biasing_list: BiasingList) -> tuple[tuple[int, int], ...]:
+def _group_by_token(flat: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``PhiMask.by_token`` from the ascending flat positions token * rows +
+    row of a mask's nonzeros."""
+    token_of, phrases = np.divmod(flat, rows)
+    first = np.empty(token_of.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(token_of[1:], token_of[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    return token_of[starts], starts, phrases
+
+
+def scan_occurrences(tokens, biasing_list: BiasingList, kept=None) -> tuple[tuple[int, int], ...]:
     """Non-overlapping real-phrase occurrences in a token sequence.
 
     Scans left to right; at each position the longest matching phrase wins
     and consumes its tokens. Returns (start, phrase_index) pairs in order.
+
+    With ``kept`` (a ``KeptSet``, or indices for ``KeptSet.of``) only the kept
+    phrases match: this is the scan of ``biasing_list.sublist(kept)``, with
+    original indices, read through the list's own cached table. The table
+    holds at most one phrase per length, so the longest kept match at a
+    position is the one the sublist's scan finds there.
     """
     seq = tuple(tokens)
     lengths, firsts, table = biasing_list._scan_index
+    members = None
+    if kept is not None:
+        kept = KeptSet.of(kept, biasing_list.size)
+        members = kept.members
+        lengths, firsts = kept._scan_heads(biasing_list)
     found: list[tuple[int, int]] = []
     i, n = 0, len(seq)
     while i < n:
         for length in lengths if seq[i] in firsts else ():
             if i + length <= n:
                 m = table.get(seq[i : i + length])
-                if m is not None:
+                if m is not None and (members is None or members[m]):
                     found.append((i, m))
                     i += length
                     break

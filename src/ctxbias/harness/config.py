@@ -149,6 +149,8 @@ def _format_value(value) -> str:
 
 
 def _parse_value(name: str, raw: str):
+    """The field's value from its INI text; ``ValueError`` unless the text
+    is one such value, or a comma list of them without an empty item."""
     kind = _FIELD_TYPES[name]
     if kind == "int":
         return int(raw)
@@ -156,7 +158,9 @@ def _parse_value(name: str, raw: str):
         return float(raw)
     if kind == "str":
         return raw
-    parts = tuple(p.strip() for p in raw.split(",") if p.strip())
+    parts = tuple(p.strip() for p in raw.split(","))
+    if not all(parts):
+        raise ValueError(f"empty item in the list {raw!r}")
     if kind == "tuple[int, ...]":
         return tuple(int(p) for p in parts)
     return parts
@@ -181,7 +185,11 @@ def load_config(path) -> ExperimentConfig:
             continue
         for name in names:
             if parser.has_option(section, name):
-                values[name] = _parse_value(name, parser.get(section, name))
+                raw = parser.get(section, name)
+                try:
+                    values[name] = _parse_value(name, raw)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: [{section}] {name} = {raw!r}: {exc}") from None
     extra = {
         (s, o)
         for s in parser.sections()

@@ -161,12 +161,11 @@ def generate_corpus(config: ExperimentConfig) -> Corpus:
 
     # windows of every reference text, by length, for rejection sampling:
     # randoms have 2..MAX_RANDOM_LEN tokens and variants GOLD_LEN or one more
-    text_windows: dict[int, set] = {
-        n: set() for n in range(2, MAX_RANDOM_LEN + 1)
+    texts = [utt.tokens for utt in utterances]
+    text_windows = {
+        n: {tokens[i : i + n] for tokens in texts for i in range(len(tokens) - n + 1)}
+        for n in range(2, MAX_RANDOM_LEN + 1)
     }
-    for utt in utterances:
-        for n in text_windows:
-            text_windows[n].update(_windows(utt.tokens, n))
 
     seen = set(golds)
 

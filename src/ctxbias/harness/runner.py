@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus import BiasingList, PhiMask, Utterance, Vocabulary, build_phi, validate_spans
+from ..corpus import (BiasingList, KeptSet, PhiMask, Utterance, Vocabulary, build_phi,
+                      validate_spans)
 from ..jointdecode import (
     attention_decode,
     count_phrases,
@@ -40,7 +41,10 @@ from ..jointdecode import (
     greedy_decode,
 )
 from ..metrics import MetricsReport, cer, phrase_prf, retention_rate, rtf
-from ..purify import gcp, ocp, restrict_phi
+# restrict_phi is no longer called here, since purified cells decode
+# through the full list's indexes; it stays importable from the runner,
+# where perfbench's tracer wraps it
+from ..purify import gcp, ocp, restrict_phi  # noqa: F401
 from ..simulate import SyntheticScorer, synth_backbone
 from .config import ExperimentConfig
 from .corpusgen import Corpus, generate_corpus
@@ -112,9 +116,12 @@ def decode_one(
             else:
                 if method in PURIFY_METHODS:
                     pick = gcp if "gcp" in method else ocp
-                    kept = pick(biasing_list, scorer, params).kept
-                    res = decode_utterance(scorer.bundle(kept), biasing_list.sublist(kept),
-                                           restrict_phi(phi, kept), config.smoothing)
+                    purified = pick(biasing_list, scorer, params)
+                    kept = purified.kept
+                    # purification's indices are a kept set as they stand
+                    kept_set = KeptSet._of_checked(purified.indices, biasing_list.size)
+                    res = decode_utterance(scorer.bundle(kept_set), biasing_list, phi,
+                                           config.smoothing, kept_set)
                 else:
                     bundle = scorer.bundle(np.arange(biasing_list.size))
                     if method.startswith("attn"):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import BiasingList, PhiMask, scan_occurrences
+from .corpus import BiasingList, KeptSet, PhiMask, scan_occurrences
 from .numeric import softmax
 from .bundle import CorrelationBundle
 from .smoothing import SmoothingParams, guided_phrase_smooth, triangular_smooth
@@ -40,19 +40,28 @@ class DecodeResult:
 
 
 def joint_intersection(
-    q_slist: np.ndarray, q_sphr: np.ndarray, q_tok: np.ndarray, phi: PhiMask
+    q_slist: np.ndarray, q_sphr: np.ndarray, q_tok: np.ndarray, phi: PhiMask, kept=None
 ) -> np.ndarray:
     """Intersect the three correlation levels into a token distribution.
 
     Per (step, token): the best phrase containing that token contributes
     q_slist[u] * q_sphr[u, m] * q_tok[u, v]; tokens in no phrase score 0.
     Rows are normalized with a softmax, so an all-zero row comes out
-    uniform.
+    uniform. With ``kept`` (a ``KeptSet``, or indices for ``KeptSet.of``)
+    the phrases are the kept rows of ``phi``, in kept order: the result is
+    the intersection with ``restrict_phi(phi, kept)``, read from ``phi``'s
+    cached nonzeros.
     """
     q_slist = np.asarray(q_slist, dtype=float)
     q_sphr = np.asarray(q_sphr, dtype=float)
     q_tok = np.asarray(q_tok, dtype=float)
     m, v = phi.matrix.shape
+    if kept is None:
+        tokens, starts, phrases = phi.by_token
+    else:
+        kept = KeptSet.of(kept, m).indices
+        m = kept.size
+        tokens, starts, phrases = phi._kept_by_token(kept)
     u = q_sphr.shape[0] if q_sphr.ndim == 2 else -1
     if q_sphr.shape != (u, m) or q_tok.shape != (u, v):
         raise ValueError("correlation shapes disagree with the mask")
@@ -62,7 +71,6 @@ def joint_intersection(
     # a segment max over the mask's nonzeros, grouped by token; correlations
     # are nonnegative, so this equals the max over all phrases of
     # q_sphr * phi, where a phrase lacking the token contributes 0
-    tokens, starts, phrases = phi.by_token
     phrase_max = np.zeros_like(q_tok)
     if tokens.size:
         phrase_max[:, tokens] = np.maximum.reduceat(
@@ -86,25 +94,27 @@ def greedy_decode(probs: np.ndarray) -> tuple[int, ...]:
     return tuple(np.argmax(probs, axis=1).tolist())
 
 
-def count_phrases(hyp, biasing_list: BiasingList) -> int:
-    """Non-overlapping real-phrase occurrences in the hypothesis."""
-    return len(scan_occurrences(hyp, biasing_list))
+def count_phrases(hyp, biasing_list: BiasingList, kept=None) -> int:
+    """Non-overlapping real-phrase occurrences in the hypothesis; with
+    ``kept``, of the kept phrases only (see ``scan_occurrences``)."""
+    return len(scan_occurrences(hyp, biasing_list, kept))
 
 
-def post_process(hyp_casr, hyp_bb, biasing_list: BiasingList) -> tuple:
+def post_process(hyp_casr, hyp_bb, biasing_list: BiasingList, kept=None) -> tuple:
     """Keep the biased hypothesis only if it detects strictly more phrases.
 
     Guards against over-biasing: a biased pass that did not surface any new
     phrase has no business overriding the backbone. Returns the kept
     hypothesis and the two phrase counts, (kept, count_casr, count_bb).
+    With ``kept``, only the kept phrases of the list count.
     """
-    n_casr = count_phrases(hyp_casr, biasing_list)
-    n_bb = count_phrases(hyp_bb, biasing_list)
+    n_casr = count_phrases(hyp_casr, biasing_list, kept)
+    n_bb = count_phrases(hyp_bb, biasing_list, kept)
     return (hyp_casr if n_casr > n_bb else hyp_bb), n_casr, n_bb
 
 
 def _guarded_decode(
-    bundle, biasing_list: BiasingList, q_bias, weight, q_sphr=None
+    bundle, biasing_list: BiasingList, q_bias, weight, q_sphr=None, kept=None
 ) -> DecodeResult:
     """Everything after the biased distribution: interpolate it with the
     backbone by the per-step weight, decode both greedily, and keep the
@@ -112,7 +122,7 @@ def _guarded_decode(
     hyp_bb = greedy_decode(bundle.p_bb)
     q_casr = interpolate(bundle.p_bb, q_bias, weight)
     hyp_casr = greedy_decode(q_casr)
-    hyp_final, count_casr, count_bb = post_process(hyp_casr, hyp_bb, biasing_list)
+    hyp_final, count_casr, count_bb = post_process(hyp_casr, hyp_bb, biasing_list, kept)
     return DecodeResult(
         hyp_bb=hyp_bb,
         hyp_casr=hyp_casr,
@@ -135,18 +145,21 @@ def _backbone_only(bundle) -> DecodeResult:
                         count_casr=0, q_bias=q_bias)
 
 
-def _entry(bundle, biasing_list: BiasingList, phi: PhiMask) -> CorrelationBundle:
+def _entry(bundle, biasing_list: BiasingList, phi: PhiMask, kept=None) -> CorrelationBundle:
     """The bundle a decoder works on: a ``CorrelationBundle`` as it is (its
     contract was checked when it was made), any other object with the four
-    arrays checked into one. Either way its phrase axis must match the list
-    and the mask, and its vocabulary axis the mask; else ``ValueError``."""
+    arrays checked into one. Either way the mask's rows must match the list,
+    the bundle's phrase axis the list (or the kept indices, when given), and
+    its vocabulary axis the mask; else ``ValueError``."""
     if not isinstance(bundle, CorrelationBundle):
         bundle = CorrelationBundle(q_list=bundle.q_list, q_phr=bundle.q_phr,
                                    q_tok=bundle.q_tok, p_bb=bundle.p_bb)
     m, v = phi.matrix.shape
-    if bundle.q_phr.shape[1] != biasing_list.size or m != biasing_list.size:
+    cols = biasing_list.size if kept is None else kept.indices.size
+    if bundle.q_phr.shape[1] != cols or m != biasing_list.size:
         raise ValueError(f"q_phr has {bundle.q_phr.shape[1]} phrase columns and phi "
-                         f"{m} rows, the biasing list {biasing_list.size} entries")
+                         f"{m} rows, the biasing list {biasing_list.size} entries"
+                         + ("" if kept is None else f", {kept.indices.size} of them kept"))
     if bundle.q_tok.shape[1] != v:
         raise ValueError(f"q_tok and p_bb have {bundle.q_tok.shape[1]} token columns, "
                          f"phi has {v}")
@@ -154,7 +167,7 @@ def _entry(bundle, biasing_list: BiasingList, phi: PhiMask) -> CorrelationBundle
 
 
 def decode_utterance(
-    bundle, biasing_list: BiasingList, phi: PhiMask, params: SmoothingParams
+    bundle, biasing_list: BiasingList, phi: PhiMask, params: SmoothingParams, kept=None
 ) -> DecodeResult:
     """Full biased decode of one utterance.
 
@@ -162,14 +175,21 @@ def decode_utterance(
     located window and intersect; the smoothed list correlation is the
     interpolation weight. When the list holds no real phrase, the backbone
     hypothesis is returned directly.
+
+    With ``kept`` (a ``KeptSet``, or indices for ``KeptSet.of``) the bundle
+    scores the purified list ``biasing_list.sublist(kept)``, and the result
+    is bit for bit the decode of that sublist with ``restrict_phi(phi,
+    kept)``, read through the full list's and mask's cached indexes.
     """
-    bundle = _entry(bundle, biasing_list, phi)
-    if biasing_list.size <= 1:
+    if kept is not None:
+        kept = KeptSet.of(kept, biasing_list.size)
+    bundle = _entry(bundle, biasing_list, phi, kept)
+    if (biasing_list.size if kept is None else kept.indices.size) <= 1:
         return _backbone_only(bundle)
     q_slist = triangular_smooth(bundle.q_list, params)
     q_sphr = guided_phrase_smooth(bundle.q_phr, bundle.q_list, q_slist)
-    q_bias = joint_intersection(q_slist, q_sphr, bundle.q_tok, phi)
-    return _guarded_decode(bundle, biasing_list, q_bias, q_slist, q_sphr)
+    q_bias = joint_intersection(q_slist, q_sphr, bundle.q_tok, phi, kept)
+    return _guarded_decode(bundle, biasing_list, q_bias, q_slist, q_sphr, kept)
 
 
 def attention_decode(bundle, biasing_list: BiasingList, phi: PhiMask) -> DecodeResult:

@@ -60,6 +60,28 @@ class PurifyResult:
         """The size of the purified list, no-bias entry included."""
         return len(self.kept)
 
+    @functools.cached_property
+    def indices(self) -> np.ndarray:
+        """``kept`` as a read-only intp array: the form the scorer's
+        ``bundle`` and ``decode_utterance(..., kept=)`` take as it is."""
+        indices = np.array(self.kept, dtype=np.intp)
+        indices.flags.writeable = False
+        return indices
+
+    @classmethod
+    def _of_survivors(cls, survivors: np.ndarray, rounds) -> "PurifyResult":
+        """The result that keeps the no-bias entry and the ascending real
+        indices ``survivors``: distinct and led by 0 as they stand, so
+        ``__post_init__`` is not run."""
+        indices = np.zeros(survivors.size + 1, dtype=np.intp)
+        indices[1:] = survivors
+        indices.flags.writeable = False
+        res = object.__new__(cls)
+        object.__setattr__(res, "kept", tuple(indices.tolist()))
+        object.__setattr__(res, "rounds", tuple(rounds))
+        res.__dict__["indices"] = indices  # what the cached property would hold
+        return res
+
 
 class GroupScorer(Protocol):
     """What purification asks of a scorer; indices are original list indices.
@@ -93,53 +115,74 @@ def round_order(shuffle_seed: int, round_index: int, m: int) -> np.ndarray:
     return order
 
 
-def select_winners(q_list_g, q_phr_g, thres_list: float, n_top: int) -> tuple[int, ...]:
+def select_winners(q_list_g, q_phr_g, thres_list: float, n_top: int,
+                   slots: int | None = None) -> np.ndarray:
     """Group-local winners: at each step whose list correlation clears the
     threshold, the n_top phrases with the largest (list x phrase) product.
 
     Zero-scored phrases never win, ties prefer the smaller index, and the
     per-step winner sets are unioned. No confident step means no winners.
-    Takes one group, q_list_g (U,) and q_phr_g (U, S), or G stacked groups
-    of S slots, (G, U) and (G, U, S), and returns the sorted flat indices
-    g * S + s of the winners. Scores must be finite and nonnegative.
+    Takes G groups side by side: q_list_g (G, U), or (U,) for one group, and
+    q_phr_g (U, n), where group g holds columns g * S to (g + 1) * S of S =
+    ``slots`` (by default n: one group), and only the last group may be
+    short, its missing slots scoring zero. Returns the flat indices g * S + s
+    of the winners as an ascending intp array. Scores must be finite and
+    nonnegative.
     """
     q_list_g = np.asarray(q_list_g, dtype=float)
     q_phr_g = np.asarray(q_phr_g, dtype=float)
     if q_list_g.ndim == 1:  # one group
-        q_list_g, q_phr_g = q_list_g[None], q_phr_g[None]
-    slots = q_phr_g.shape[-1]
-    group, step = (q_list_g > thres_list).nonzero()  # group-major, so ascending
-    if not group.size:
-        return ()
-    vals = q_list_g[group, step][:, None] * q_phr_g[group, step]  # (steps, S)
+        q_list_g = q_list_g[None]
+    (u, n), n_groups = q_phr_g.shape, q_list_g.shape[0]
+    slots = n if slots is None else slots
+    if not (n_groups - 1) * slots < n <= n_groups * slots:
+        raise ValueError(f"{n} phrase columns do not make {n_groups} groups of {slots} slots")
+    # the confident (group, step) pairs, group-major, so groups ascend
+    flat = (q_list_g > thres_list).ravel().nonzero()[0]
+    if not flat.size:
+        return flat
+    group, step = np.divmod(flat, q_list_g.shape[1])
+    # each confident (group, step) row of S slots: the full groups' through a
+    # (U, full groups, S) view of the columns, the short last group's by
+    # itself, zero-padded
+    full = n // slots
+    rows = q_phr_g[:, : full * slots].reshape(u, full, slots)
+    if group[-1] < full:  # no confident short group
+        vals = rows[step, group]
+    else:
+        short = int(np.searchsorted(group, full))  # its first row
+        vals = np.zeros((group.size, slots))
+        vals[:short] = rows[step[:short], group[:short]]
+        vals[short:, : n - full * slots] = q_phr_g[step[short:], full * slots :]
+    vals *= q_list_g.ravel()[flat, None]  # (steps, S)
     wins = vals > 0
     if n_top < slots:
         # the n_top-th largest value per step; everything at or above it wins,
         # unless ties with it overfill a step (at least n_top entries per step
         # reach it, so some step holds more exactly when the total is larger):
         # then the tied entries fill the remaining places in index order
-        ranked = vals.copy()
-        ranked.partition(slots - n_top, axis=1)
-        kth = ranked[:, slots - n_top, None]
+        kth = np.partition(vals, slots - n_top, axis=1)[:, slots - n_top, None]
         at_least = vals >= kth
         wins &= at_least
         if np.count_nonzero(at_least) > n_top * vals.shape[0]:
             tied = vals == kth
             room = n_top - (vals > kth).sum(axis=1, keepdims=True)
             wins &= ~tied | (np.cumsum(tied, axis=1) <= room)
-    # the union over each group's steps
-    won = np.zeros(q_phr_g.shape, dtype=bool)
-    won[group, step] = wins
-    return tuple(won.any(axis=1).ravel().nonzero()[0].tolist())
+    # the union over each group's steps: one (group, slot) scatter
+    row, slot = np.divmod(wins.ravel().nonzero()[0], slots)
+    won = np.zeros((n_groups, slots), dtype=bool)
+    won[group[row], slot] = True
+    return won.ravel().nonzero()[0]
 
 
 def _checked(scores, shape: tuple, what: str) -> np.ndarray:
     """A scorer answer as float, or ValueError unless it has the given shape
-    (None matches any length) and every entry is finite and in [0, 1]."""
+    (a last entry None matches any length) and every entry is finite and in
+    [0, 1]."""
     scores = np.asarray(scores, dtype=float)
-    if scores.ndim != len(shape) or any(
-        want not in (None, got) for want, got in zip(shape, scores.shape)
-    ):
+    if shape[-1] is None:
+        shape = shape[:-1] + scores.shape[-1:]
+    if scores.shape != shape:
         raise ValueError(f"{what} returned shape {scores.shape}, expected {shape}")
     # min and max propagate NaN, which then fails both comparisons
     if not (scores.min(initial=0.0) >= 0.0 and scores.max(initial=1.0) <= 1.0):
@@ -167,26 +210,24 @@ def gcp(biasing_list: BiasingList, scorer: GroupScorer, params: PurifyParams) ->
         n_groups = -(-members.size // gs)
         q_list = _checked(scorer.q_list_groups(members, gs), (n_groups, None),
                           "q_list_groups")
-        u = q_list.shape[1]
-        confident = (q_list > params.thres_list).any(axis=1).nonzero()[0].tolist()
-        won = chosen = members[:0]
-        if confident:
-            # the confident groups' members, gs slots per group; only the
-            # round's last group can be short, and its empty slots get zero
-            # scores, which never win
-            chosen = np.concatenate([members[g * gs : (g + 1) * gs] for g in confident])
-            q_phr = _checked(scorer.q_phr_for(chosen), (u, chosen.size), "q_phr_for")
-            pad = len(confident) * gs - chosen.size
-            if pad:
-                q_phr = np.concatenate((q_phr, np.zeros((u, pad))), axis=1)
-            won = np.asarray(select_winners(q_list[confident],
-                                            q_phr.reshape(u, -1, gs).transpose(1, 0, 2),
-                                            params.thres_list, params.n_top), dtype=np.intp)
-        survivors = chosen[won]
-        survivors.sort()
+        confident = (q_list > params.thres_list).any(axis=1)
+        n_confident = np.count_nonzero(confident)
+        survivors = members[:0]
+        if n_confident:
+            chosen = members
+            if n_confident < n_groups:
+                # the confident groups' members, gs per group; only the
+                # round's last group can be short
+                q_list = q_list[confident]
+                chosen = np.concatenate([members[g * gs : (g + 1) * gs]
+                                         for g in confident.nonzero()[0].tolist()])
+            q_phr = _checked(scorer.q_phr_for(chosen), (q_list.shape[1], chosen.size),
+                             "q_phr_for")
+            won = select_winners(q_list, q_phr, params.thres_list, params.n_top, gs)
+            survivors = chosen[won]
+            survivors.sort()
         rounds.append(RoundAudit(groups=n_groups, survivors=survivors.size))
-    kept = (0, *survivors.tolist())
-    return PurifyResult(kept=kept, rounds=tuple(rounds))
+    return PurifyResult._of_survivors(survivors, rounds)
 
 
 def ocp(biasing_list: BiasingList, scorer: GroupScorer, params: PurifyParams) -> PurifyResult:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import rng
 from .bundle import CorrelationBundle, _check_values
-from .corpus import (BiasingList, PhiMask, Utterance, Vocabulary, build_phi, check_kept,
+from .corpus import (BiasingList, KeptSet, PhiMask, Utterance, Vocabulary, build_phi,
                      validate_spans)
 from .numeric import expit, logit
 
@@ -328,11 +328,14 @@ class SyntheticScorer:
         if members.size == 0 or group_size < 1:
             raise ValueError("need a nonempty member list and a positive group size")
         # each group's largest evidence rank per step; groups without an
-        # evidence-bearing member stay at rank 0, evidence 0
+        # evidence-bearing member stay at rank 0, evidence 0. Only the span
+        # phrases bear evidence, so each of the few members that do raises
+        # its group's row in turn
         rank = np.zeros((-(-members.size // group_size), self._u), dtype=np.intp)
         slot = self._ev_slot[members]
-        pos = (slot >= 0).nonzero()[0]
-        np.maximum.at(rank, pos // group_size, self._ev_rank[:, slot[pos]].T)
+        for pos in (slot >= 0).nonzero()[0].tolist():
+            row = rank[pos // group_size]
+            np.maximum(row, self._ev_rank[:, slot[pos]], out=row)
         return self._list_table[rank, self._steps]
 
     def q_list_for(self, members) -> np.ndarray:
@@ -351,18 +354,15 @@ class SyntheticScorer:
         m entries). ``q_tok`` and ``p_bb`` are read-only views shared by every
         bundle of this scorer. Every array is taken from the arrays checked
         against the bundle contract when the scorer was built, so the bundle
-        is not checked again. The indices obey ``check_kept``."""
+        is not checked again. The indices are a ``KeptSet`` of this list or of
+        a shorter one (a prefix, as in a sweep), or are checked by
+        ``KeptSet.of``."""
         if members is None:
             members = np.arange(self._m, dtype=np.intp)
+        elif isinstance(members, KeptSet) and members.members.size <= self._m:
+            members = members.indices
         else:
-            members = np.asarray(members, dtype=np.intp)
-            if members.ndim != 1:
-                raise ValueError(f"kept indices have shape {members.shape}, expected (n,)")
-            # a set ascending from 0 to below M obeys check_kept, and array
-            # operations decide that cheaply; any other set goes to check_kept
-            if not (members.size and members[0] == 0 and members[-1] < self._m
-                    and (members[1:] > members[:-1]).all()):
-                check_kept(members.tolist(), self._m)
+            members = KeptSet.of(members, self._m).indices
         return CorrelationBundle._of_checked(
             q_list=self.q_list_for(members),
             q_phr=self.q_phr_for(members),

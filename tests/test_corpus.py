@@ -266,3 +266,72 @@ def test_utterance_file_round_trip(tmp_path):
         corpus.load_utterances(path, v, biasing_list=bl)
     loaded = corpus.load_utterances(path, v)  # without the list it still parses
     assert loaded[0].spans[0].start == 0
+
+
+def test_kept_scan_equals_the_scan_of_the_sublist():
+    """A scan restricted to the kept phrases of the full list's table finds
+    what the sublist's own scan finds, with original indices: a longer
+    phrase that is not kept must not hide a shorter kept one."""
+    v = _vocab(n_chars=8)
+    long_, short, tail, mid, other = (2, 3, 4, 5), (2, 3), (4, 5), (3, 4, 5), (6, 7)
+    bl = corpus.make_biasing_list([long_, short, tail, mid, other], v)
+    a, b, c, d, e = range(1, 6)
+    hyp = (2, 3, 4, 5, 6, 7, 2, 3)
+    table = [
+        (range(bl.size), ((0, a), (4, e), (6, b))),
+        ((0, b, c), ((0, b), (2, c), (6, b))),  # the longest phrase is not kept
+        ((0, c, b), ((0, b), (2, c), (6, b))),  # kept order does not matter
+        ((0, b), ((0, b), (6, b))),
+        ((0, c), ((2, c),)),
+        ((0, d, e), ((1, d), (4, e))),
+        ((0, a, e), ((0, a), (4, e))),
+        ((0,), ()),
+    ]
+    for kept, want in table:
+        kept = list(kept)
+        got = corpus.scan_occurrences(hyp, bl, kept)
+        assert got == want, kept
+        assert corpus.scan_occurrences(hyp, bl, corpus.KeptSet.of(kept, bl.size)) == want
+        # the oracle: the sublist's own scan, its indices mapped back
+        sub = corpus.scan_occurrences(hyp, bl.sublist(kept))
+        assert tuple((i, kept[m]) for i, m in sub) == want, kept
+    with pytest.raises(ValueError, match="index 9 is outside"):
+        corpus.scan_occurrences(hyp, bl, [0, 9])
+    with pytest.raises(ValueError, match="kept set is of a 3-entry list"):
+        corpus.scan_occurrences(hyp, bl, corpus.KeptSet.of([0, 1], 3))
+
+
+def test_kept_scan_matches_the_sublist_scan_on_random_lists():
+    v = _vocab(n_chars=6)
+    gen = np.random.default_rng(12)
+    seqs = set()
+    while len(seqs) < 60:
+        seqs.add(tuple(gen.integers(2, v.size, size=int(gen.integers(2, 6))).tolist()))
+    bl = corpus.make_biasing_list(sorted(seqs), v)
+    for trial in range(60):
+        rest = gen.permutation(np.arange(1, bl.size))[: gen.integers(0, bl.size)]
+        kept = [0, *(sorted(rest.tolist()) if trial % 2 else rest.tolist())]
+        for _ in range(3):
+            hyp = gen.integers(2, v.size, size=int(gen.integers(0, 30))).tolist()
+            sub = corpus.scan_occurrences(hyp, bl.sublist(kept))
+            want = tuple((i, kept[m]) for i, m in sub)
+            assert corpus.scan_occurrences(hyp, bl, kept) == want
+
+
+def test_kept_set_is_checked_once_and_read_only():
+    kept = np.array([0, 4, 2])
+    ks = corpus.KeptSet.of(kept, 6)
+    assert corpus.KeptSet.of(ks, 6) is ks
+    assert ks.indices.tolist() == [0, 4, 2] and ks.indices.dtype == np.intp
+    assert ks.members.tolist() == [True, False, True, False, True, False]
+    kept[1] = 5  # the caller's array stays the caller's
+    assert ks.indices.tolist() == [0, 4, 2]
+    for arr in (ks.indices, ks.members):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    for bad, named in (([], "first kept index is missing"), ([3, 0], "first kept index is 3"),
+                       ([0, -1], "index -1 is outside 0..5"), ([0, 6], "index 6 is outside"),
+                       ([0, 2, 2], "index 2 repeats"), ([0, 1.5], "must be integers"),
+                       (np.zeros((1, 2), dtype=int), r"shape \(1, 2\)")):
+        with pytest.raises(ValueError, match=named):
+            corpus.KeptSet.of(bad, 6)

@@ -140,3 +140,31 @@ def test_softmax_matches_the_parent_in_dtype_and_bits(dtype):
         assert softmax(x).dtype == dtype
     else:
         assert softmax(x).dtype == np.float64
+
+
+@pytest.mark.parametrize("sigma", (0.1, 0.5), ids=("base", "stress"))
+def test_purified_decode_through_the_full_list_matches_the_sublist_decode(sigma):
+    """``decode_utterance(..., kept=)`` reads the full list's scan table and
+    the full mask's nonzeros; the oracle builds the sublist and copies the
+    mask rows, as the purified decode once did. Every field agrees bit for
+    bit, for the kept sets of gcp and ocp at the benchmark's BASE noise
+    (mean m_pur about 28) and at its purify_stress jitter (about 70)."""
+    config = ExperimentConfig(n_utterances=30, seed=3, confusion_rate=0.3,
+                              distractor_boost=0.3, score_jitter_sigma=sigma)
+    corp = generate_corpus(config)
+    bl = corp.lists[1196]
+    phi = corpus.build_phi(bl, corp.vocabulary)
+    params = config.purify_for(1)
+    sizes = []
+    for utt in corp.utterances:
+        scorer = simulate.SyntheticScorer(utt, bl, corp.vocabulary, config.noise_for(1), phi)
+        for pick in (purify.gcp, purify.ocp):
+            kept = pick(bl, scorer, params).kept
+            sizes.append(len(kept))
+            want = jointdecode.decode_utterance(scorer.bundle(kept), bl.sublist(kept),
+                                                purify.restrict_phi(phi, kept), PARAMS)
+            kept_set = corpus.KeptSet.of(kept, bl.size)
+            for given in (kept, kept_set):
+                got = jointdecode.decode_utterance(scorer.bundle(given), bl, phi, PARAMS, given)
+                _assert_same(got, want)
+    assert (np.mean(sizes) < 40) if sigma == 0.1 else (np.mean(sizes) > 55)

@@ -84,6 +84,43 @@ def test_config_rejects_unknown_keys(tmp_path):
         config.load_config(path)
 
 
+@pytest.mark.parametrize(
+    "section, name, raw, reason",
+    [
+        ("corpus", "n_utterances", "1.5", "invalid literal for int"),
+        ("decode", "omega", "high", "could not convert"),
+        ("corpus", "list_lengths", "51,x", "invalid literal for int"),
+        ("corpus", "list_lengths", "51,,201", "empty item"),
+        ("corpus", "list_lengths", "51,201,", "empty item"),
+        ("sweep", "methods", "joint,,attn", "empty item"),
+        ("sweep", "methods", "", "empty item"),
+    ],
+)
+def test_config_names_the_entry_it_cannot_parse(tmp_path, section, name, raw, reason):
+    """A value is never cleaned up quietly: an empty list item, or text that
+    is no value of the field's type, fails with the file, section and option."""
+    path = tmp_path / "exp.ini"
+    config.save_config(_small_config(), path)
+    lines = [f"{name} = {raw}" if line.startswith(f"{name} = ") else line
+             for line in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=reason) as err:
+        config.load_config(path)
+    assert f"[{section}] {name} = {raw!r}" in str(err.value)
+    assert str(path) in str(err.value)
+
+
+def test_cli_sweep_reports_the_unparsable_entry(tmp_path, capsys):
+    path = tmp_path / "exp.ini"
+    config.save_config(_small_config(outdir=str(tmp_path / "runs")), path)
+    path.write_text(path.read_text().replace("n_utterances = 12", "n_utterances = 1.5"))
+    assert cli.main(["sweep", "--config", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "[corpus] n_utterances = '1.5'" in err["message"]
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("key", ["alpha", "gamma"])
 def test_config_rejects_removed_focal_keys(tmp_path, key):
     # alpha/gamma once sat under [decode] but changed nothing; old files fail

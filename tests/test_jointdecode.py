@@ -164,6 +164,26 @@ def test_decode_without_real_phrases_falls_back():
         assert np.all(res.q_bias == 1.0 / v.size)
 
 
+def test_decode_with_kept_indices_checks_them_against_list_and_bundle():
+    v, bl, utt, bundle, phi = _clean_case()
+    scorer = simulate.SyntheticScorer(utt, bl, v, simulate.NoiseSpec(seed=7))
+    params = SmoothingParams()
+    # the no-bias entry alone falls back to the backbone, as its sublist does
+    res = jointdecode.decode_utterance(scorer.bundle([0]), bl, phi, params, [0])
+    assert res.hyp_casr == res.hyp_final == res.hyp_bb
+    assert (res.count_bb, res.count_casr) == (0, 0)
+    for kept, named in (([0, 9], "index 9 is outside"), ([1, 0], "first kept index is 1"),
+                        ([0, 2, 2], "index 2 repeats")):
+        with pytest.raises(ValueError, match=named):
+            jointdecode.decode_utterance(bundle, bl, phi, params, kept)
+    # the bundle must score exactly the kept entries
+    with pytest.raises(ValueError, match="2 of them kept"):
+        jointdecode.decode_utterance(bundle, bl, phi, params, [0, 2])
+    with pytest.raises(ValueError, match="kept set is of a 2-entry list"):
+        jointdecode.decode_utterance(scorer.bundle([0, 1]), bl, phi, params,
+                                     corpus.KeptSet.of([0, 1], 2))
+
+
 def test_decode_corrects_homophone_confusions():
     # backbone mishears one step of each name; the scorers know better
     v, bl, utt, bundle, phi = _clean_case(spans=((1, 3, 1), (4, 6, 2)))

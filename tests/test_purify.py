@@ -60,14 +60,14 @@ def test_group_phrases_shapes():
 def test_select_winners_empty_when_no_confident_step():
     q_list = np.full(6, 0.4)
     q_phr = np.random.default_rng(0).uniform(size=(6, 9))
-    assert purify.select_winners(q_list, q_phr, 0.5, 3) == ()
+    assert tuple(purify.select_winners(q_list, q_phr, 0.5, 3)) == ()
 
 
 def test_select_winners_singleton():
     q_list = np.array([0.1, 0.9, 0.2])
     q_phr = np.zeros((3, 5))
     q_phr[1, 3] = 1.0
-    assert purify.select_winners(q_list, q_phr, 0.5, 10) == (3,)
+    assert tuple(purify.select_winners(q_list, q_phr, 0.5, 10)) == (3,)
 
 
 def _bruteforce_winners(q_list, q_phr, thres, n_top):
@@ -91,21 +91,28 @@ def test_select_winners_matches_bruteforce():
             q_phr = gen.uniform(size=(u, g)) * (gen.uniform(size=(u, g)) > 0.3)
         for n_top in (1, 4, g - 1, g, g + 3):
             got = purify.select_winners(q_list, q_phr, 0.5, n_top)
-            assert got == _bruteforce_winners(q_list, q_phr, 0.5, n_top)
+            assert tuple(got) == _bruteforce_winners(q_list, q_phr, 0.5, n_top)
 
 
 def test_select_winners_stacked_groups_flatten_to_group_times_slots():
+    """Groups side by side, the last one short: its missing slots score
+    zero, so it competes as a group of its own length."""
     gen = np.random.default_rng(2)
     n_groups, u, slots = 5, 6, 9
     q_list = gen.uniform(size=(n_groups, u))
     q_phr = gen.integers(0, 3, size=(n_groups, u, slots)) / 2.0
-    got = purify.select_winners(q_list, q_phr, 0.5, 3)
-    want = tuple(
-        g * slots + s
-        for g in range(n_groups)
-        for s in _bruteforce_winners(q_list[g], q_phr[g], 0.5, 3)
-    )
-    assert got == want
+    side_by_side = q_phr.transpose(1, 0, 2).reshape(u, -1)
+    for short in (0, 1, 4, slots - 1):
+        n = n_groups * slots - short
+        got = tuple(purify.select_winners(q_list, side_by_side[:, :n], 0.5, 3, slots))
+        want = tuple(
+            g * slots + s
+            for g in range(n_groups)
+            for s in _bruteforce_winners(q_list[g], q_phr[g][:, : n - g * slots], 0.5, 3)
+        )
+        assert got == want, short
+    with pytest.raises(ValueError, match="do not make 5 groups of 9 slots"):
+        purify.select_winners(q_list, side_by_side[:, :36], 0.5, 3, slots)
 
 
 def test_zero_noise_purification_keeps_exactly_the_golds():
@@ -224,6 +231,31 @@ def test_gcp_matches_loop_oracle_with_every_noise_channel():
         assert once.kept == _loop_gcp(bl, scorer, PurifyParams(group_size=150, n_r=1, n_top=4))[0]
     assert checked  # some runs went past the first round
 
+    # the benchmark's purify_stress noise on the generated M=1196 list, where
+    # the first round often finds every group confident, so the round takes
+    # its members as they stand and reads the short last group apart
+    config = ExperimentConfig(n_utterances=8, confusion_rate=0.3, distractor_boost=0.3,
+                              score_jitter_sigma=0.5)
+    corp = generate_corpus(config)
+    bl = corp.lists[1196]
+    phi = corpus.build_phi(bl, corp.vocabulary)
+    params = config.purify_for(0)
+    all_confident = 0
+    for utt in corp.utterances:
+        scorer = simulate.SyntheticScorer(utt, bl, corp.vocabulary, config.noise_for(0), phi)
+        members = bl.real_indices()[purify.round_order(params.shuffle_seed, 1, bl.size - 1)]
+        q_list = scorer.q_list_groups(members, params.group_size)
+        all_confident += bool((q_list > params.thres_list).any(axis=1).all())
+        res = purify.gcp(bl, scorer, params)
+        kept, rounds = _loop_gcp(bl, scorer, params)
+        assert res.kept == kept
+        assert [tuple(r) for r in res.rounds] == rounds
+        assert res.indices.tolist() == list(kept) and not res.indices.flags.writeable
+        once = purify.ocp(bl, scorer, params)
+        assert once.kept == _loop_gcp(bl, scorer, PurifyParams(group_size=bl.size - 1, n_r=1,
+                                                               shuffle_seed=0))[0]
+    assert all_confident
+
 
 class _Corrupted:
     """A scorer whose answers are damaged by ``damage(name, array)``."""
@@ -316,6 +348,26 @@ def test_restrict_phi():
             purify.restrict_phi(phi, bad)
         with pytest.raises(ValueError, match=named):
             bl.sublist(bad)
+
+
+def test_kept_by_token_equals_the_restricted_mask_index():
+    """The purified decode's token index, gathered from the full mask's
+    cached nonzeros, equals the index of ``restrict_phi``'s copied rows
+    element for element: for the no-bias entry alone, every index, and
+    seeded random subsets, in order and shuffled."""
+    corp = generate_corpus(ExperimentConfig(n_utterances=4))
+    gen = np.random.default_rng(6)
+    for m in (51, 1196):
+        bl = corp.lists[m]
+        phi = corpus.build_phi(bl, corp.vocabulary)
+        kept_sets = [(0,), tuple(range(m))]
+        for size in (1, 5, 30, 120, m - 1):
+            rest = gen.permutation(np.arange(1, m))[:size]
+            kept_sets += [(0, *np.sort(rest).tolist()), (0, *rest.tolist())]
+        for kept in kept_sets:
+            got = phi._kept_by_token(corpus.KeptSet.of(kept, m).indices)
+            for a, b in zip(got, purify.restrict_phi(phi, kept).by_token):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (m, len(kept))
 
 
 def test_params_validation():
