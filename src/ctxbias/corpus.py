@@ -346,13 +346,13 @@ class PhiMask:
         and indexing them from scratch; ``kept`` holds ``KeptSet`` indices."""
         starts, sizes, tokens = self._by_phrase
         sizes = sizes[kept]
-        ends = np.cumsum(sizes)
+        ends = sizes.cumsum()
         # the kept rows' nonzeros, row after row, keyed token * k + row and
         # sorted
-        pos = np.repeat(starts[kept] + sizes - ends, sizes)
+        pos = (starts[kept] + sizes - ends).repeat(sizes)
         pos += np.arange(pos.size)
         key = tokens[pos] * kept.size
-        key += np.repeat(np.arange(kept.size), sizes)
+        key += np.arange(kept.size).repeat(sizes)
         key.sort()
         return _group_by_token(key, kept.size)
 

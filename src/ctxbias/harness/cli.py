@@ -100,6 +100,8 @@ def _cmd_decode(args) -> int:
             q_sphr=res.q_sphr,
             q_bias=res.q_bias,
             q_casr=res.q_casr,
+            window_start=res.window_start,
+            phrase_length=np.asarray(res.phrase_length),
             p_bb=bundle.p_bb,
             hyp_bb=np.asarray(res.hyp_bb),
             hyp_casr=np.asarray(res.hyp_casr),

@@ -16,7 +16,11 @@ import numpy as np
 from .corpus import BiasingList, KeptSet, PhiMask, scan_occurrences
 from .numeric import softmax
 from .bundle import CorrelationBundle
-from .smoothing import SmoothingParams, guided_phrase_smooth, triangular_smooth
+# guided_phrase_smooth is no longer called here: the decode pools once per
+# distinct window through _pool_windows. The name stays in this namespace
+# for tools that look it up here, such as perfbench's tracer.
+from .smoothing import SmoothingParams, _pool_windows, guided_phrase_smooth  # noqa: F401
+from .smoothing import triangular_smooth
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,8 +29,10 @@ class DecodeResult:
     the guard compared (against the decoded list), and the arrays that
     produced them: the biased distribution, the per-step interpolation
     weight, the pooled phrase correlations (joint decode only) and the
-    interpolated distribution. Without a real phrase in the list, q_bias
-    is uniform, both counts are 0 and nothing else is computed."""
+    interpolated distribution. The joint decode also gives each step's
+    pooling window start and the window length it pooled over. Without a
+    real phrase in the list, q_bias is uniform, both counts are 0 and
+    nothing else is computed."""
 
     hyp_bb: tuple[int, ...]
     hyp_casr: tuple[int, ...]
@@ -37,10 +43,13 @@ class DecodeResult:
     weight: np.ndarray | None = None
     q_sphr: np.ndarray | None = None
     q_casr: np.ndarray | None = None
+    window_start: np.ndarray | None = None
+    phrase_length: int | None = None
 
 
 def joint_intersection(
-    q_slist: np.ndarray, q_sphr: np.ndarray, q_tok: np.ndarray, phi: PhiMask, kept=None
+    q_slist: np.ndarray, q_sphr: np.ndarray, q_tok: np.ndarray, phi: PhiMask, kept=None,
+    step_rows=None,
 ) -> np.ndarray:
     """Intersect the three correlation levels into a token distribution.
 
@@ -50,7 +59,10 @@ def joint_intersection(
     uniform. With ``kept`` (a ``KeptSet``, or indices for ``KeptSet.of``)
     the phrases are the kept rows of ``phi``, in kept order: the result is
     the intersection with ``restrict_phi(phi, kept)``, read from ``phi``'s
-    cached nonzeros.
+    cached nonzeros. With ``step_rows`` (U,), an integer array, ``q_sphr``
+    holds pooled rows that steps share and step u reads row
+    ``step_rows[u]``: the result is the intersection with
+    ``q_sphr[step_rows]``, with the phrase maxima taken once per row.
     """
     q_slist = np.asarray(q_slist, dtype=float)
     q_sphr = np.asarray(q_sphr, dtype=float)
@@ -62,20 +74,30 @@ def joint_intersection(
         kept = KeptSet.of(kept, m).indices
         m = kept.size
         tokens, starts, phrases = phi._kept_by_token(kept)
-    u = q_sphr.shape[0] if q_sphr.ndim == 2 else -1
-    if q_sphr.shape != (u, m) or q_tok.shape != (u, v):
+    rows = q_sphr.shape[0] if q_sphr.ndim == 2 else -1
+    u = rows
+    if step_rows is not None:
+        step_rows = np.asarray(step_rows)
+        if step_rows.ndim != 1 or step_rows.dtype.kind not in "iu":
+            raise ValueError(f"step_rows must be a 1-d integer array, got shape "
+                             f"{step_rows.shape} and dtype {step_rows.dtype}")
+        u = step_rows.shape[0]
+        if u and not (step_rows.min() >= 0 and step_rows.max() < rows):
+            raise ValueError(f"step_rows must index the {max(rows, 0)} rows of q_sphr")
+    if q_sphr.shape != (rows, m) or q_tok.shape != (u, v):
         raise ValueError("correlation shapes disagree with the mask")
     if q_slist.shape != (u,):
         raise ValueError(f"q_slist has shape {q_slist.shape}, expected ({u},): one "
                          "list weight per step")
     # a segment max over the mask's nonzeros, grouped by token; correlations
     # are nonnegative, so this equals the max over all phrases of
-    # q_sphr * phi, where a phrase lacking the token contributes 0
-    phrase_max = np.zeros_like(q_tok)
+    # q_sphr * phi, where a phrase lacking the token contributes 0. The
+    # buffer keeps q_tok's memory order, which the softmax's row sums see
+    phrase_max = np.empty_like(q_tok)
+    phrase_max.fill(0.0)
     if tokens.size:
-        phrase_max[:, tokens] = np.maximum.reduceat(
-            np.take(q_sphr, phrases, axis=1), starts, axis=1
-        )
+        best = np.maximum.reduceat(q_sphr.take(phrases, axis=1), starts, axis=1)
+        phrase_max[:, tokens] = best if step_rows is None else best[step_rows]
     phrase_max *= q_slist[:, None]
     phrase_max *= q_tok
     return softmax(phrase_max, axis=1)
@@ -91,7 +113,7 @@ def interpolate(p_bb: np.ndarray, q_bias: np.ndarray, q_slist: np.ndarray) -> np
 
 def greedy_decode(probs: np.ndarray) -> tuple[int, ...]:
     """Row argmax; ties resolve to the smallest token index."""
-    return tuple(np.argmax(probs, axis=1).tolist())
+    return tuple(probs.argmax(axis=1).tolist())
 
 
 def count_phrases(hyp, biasing_list: BiasingList, kept=None) -> int:
@@ -109,12 +131,14 @@ def post_process(hyp_casr, hyp_bb, biasing_list: BiasingList, kept=None) -> tupl
     With ``kept``, only the kept phrases of the list count.
     """
     n_casr = count_phrases(hyp_casr, biasing_list, kept)
-    n_bb = count_phrases(hyp_bb, biasing_list, kept)
+    # the same hypothesis holds the same phrases
+    n_bb = n_casr if hyp_bb == hyp_casr else count_phrases(hyp_bb, biasing_list, kept)
     return (hyp_casr if n_casr > n_bb else hyp_bb), n_casr, n_bb
 
 
 def _guarded_decode(
-    bundle, biasing_list: BiasingList, q_bias, weight, q_sphr=None, kept=None
+    bundle, biasing_list: BiasingList, q_bias, weight, q_sphr=None, kept=None,
+    window_start=None, phrase_length=None,
 ) -> DecodeResult:
     """Everything after the biased distribution: interpolate it with the
     backbone by the per-step weight, decode both greedily, and keep the
@@ -133,6 +157,8 @@ def _guarded_decode(
         weight=weight,
         q_sphr=q_sphr,
         q_casr=q_casr,
+        window_start=window_start,
+        phrase_length=phrase_length,
     )
 
 
@@ -173,8 +199,9 @@ def decode_utterance(
 
     Smooth the list correlation, pool the phrase correlations over the
     located window and intersect; the smoothed list correlation is the
-    interpolation weight. When the list holds no real phrase, the backbone
-    hypothesis is returned directly.
+    interpolation weight. On wide lists, steps that share a window are
+    pooled and intersected once (see ``smoothing._pool_windows``). When the
+    list holds no real phrase, the backbone hypothesis is returned directly.
 
     With ``kept`` (a ``KeptSet``, or indices for ``KeptSet.of``) the bundle
     scores the purified list ``biasing_list.sublist(kept)``, and the result
@@ -187,9 +214,11 @@ def decode_utterance(
     if (biasing_list.size if kept is None else kept.indices.size) <= 1:
         return _backbone_only(bundle)
     q_slist = triangular_smooth(bundle.q_list, params)
-    q_sphr = guided_phrase_smooth(bundle.q_phr, bundle.q_list, q_slist)
-    q_bias = joint_intersection(q_slist, q_sphr, bundle.q_tok, phi, kept)
-    return _guarded_decode(bundle, biasing_list, q_bias, q_slist, q_sphr, kept)
+    pooled, step_rows, starts, length = _pool_windows(bundle.q_phr, bundle.q_list, q_slist)
+    q_bias = joint_intersection(q_slist, pooled, bundle.q_tok, phi, kept, step_rows)
+    q_sphr = pooled if step_rows is None else pooled[step_rows]
+    return _guarded_decode(bundle, biasing_list, q_bias, q_slist, q_sphr, kept, starts,
+                           length)
 
 
 def attention_decode(bundle, biasing_list: BiasingList, phi: PhiMask) -> DecodeResult:

@@ -13,9 +13,11 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     exponentiated and normalized in place.
     """
     x = np.asarray(x)
-    e = x - x.max(axis=axis, keepdims=True)
+    # the ufunc reductions themselves, which the max and sum methods call
+    # through a Python wrapper
+    e = x - np.maximum.reduce(x, axis=axis, keepdims=True)
     e = np.exp(e, out=e if e.dtype.kind in "fc" else None)
-    e /= e.sum(axis=axis, keepdims=True)
+    e /= np.add.reduce(e, axis=axis, keepdims=True)
     return e
 
 

@@ -115,6 +115,15 @@ def round_order(shuffle_seed: int, round_index: int, m: int) -> np.ndarray:
     return order
 
 
+@functools.lru_cache(maxsize=256)
+def _first_members(shuffle_seed: int, n_real: int) -> np.ndarray:
+    """The first round's members: every real entry, 1 .. n_real, in that
+    round's order; read-only."""
+    members = round_order(shuffle_seed, 1, n_real) + 1
+    members.flags.writeable = False
+    return members
+
+
 def select_winners(q_list_g, q_phr_g, thres_list: float, n_top: int,
                    slots: int | None = None) -> np.ndarray:
     """Group-local winners: at each step whose list correlation clears the
@@ -141,33 +150,41 @@ def select_winners(q_list_g, q_phr_g, thres_list: float, n_top: int,
     flat = (q_list_g > thres_list).ravel().nonzero()[0]
     if not flat.size:
         return flat
-    group, step = np.divmod(flat, q_list_g.shape[1])
-    # each confident (group, step) row of S slots: the full groups' through a
-    # (U, full groups, S) view of the columns, the short last group's by
-    # itself, zero-padded
-    full = n // slots
-    rows = q_phr_g[:, : full * slots].reshape(u, full, slots)
-    if group[-1] < full:  # no confident short group
-        vals = rows[step, group]
+    if n_groups == 1:
+        # the confident steps' rows as they stand: the missing slots of a
+        # short group would score zero, which never wins
+        vals = q_phr_g[flat]
     else:
-        short = int(np.searchsorted(group, full))  # its first row
-        vals = np.zeros((group.size, slots))
-        vals[:short] = rows[step[:short], group[:short]]
-        vals[short:, : n - full * slots] = q_phr_g[step[short:], full * slots :]
-    vals *= q_list_g.ravel()[flat, None]  # (steps, S)
+        group, step = np.divmod(flat, q_list_g.shape[1])
+        # each confident (group, step) row of S slots: the full groups'
+        # through a (U, full groups, S) view of the columns, the short last
+        # group's by itself, zero-padded
+        full = n // slots
+        rows = q_phr_g[:, : full * slots].reshape(u, full, slots)
+        if group[-1] < full:  # no confident short group
+            vals = rows[step, group]
+        else:
+            short = int(np.searchsorted(group, full))  # its first row
+            vals = np.zeros((group.size, slots))
+            vals[:short] = rows[step[:short], group[:short]]
+            vals[short:, : n - full * slots] = q_phr_g[step[short:], full * slots :]
+    vals *= q_list_g.ravel()[flat, None]  # (steps, width)
     wins = vals > 0
-    if n_top < slots:
+    width = vals.shape[1]
+    if n_top < width:
         # the n_top-th largest value per step; everything at or above it wins,
         # unless ties with it overfill a step (at least n_top entries per step
         # reach it, so some step holds more exactly when the total is larger):
         # then the tied entries fill the remaining places in index order
-        kth = np.partition(vals, slots - n_top, axis=1)[:, slots - n_top, None]
+        kth = np.partition(vals, width - n_top, axis=1)[:, width - n_top, None]
         at_least = vals >= kth
         wins &= at_least
         if np.count_nonzero(at_least) > n_top * vals.shape[0]:
             tied = vals == kth
             room = n_top - (vals > kth).sum(axis=1, keepdims=True)
-            wins &= ~tied | (np.cumsum(tied, axis=1) <= room)
+            wins &= ~tied | (tied.cumsum(axis=1) <= room)
+    if n_groups == 1:  # the union over the steps
+        return np.logical_or.reduce(wins, axis=0).nonzero()[0]
     # the union over each group's steps: one (group, slot) scatter
     row, slot = np.divmod(wins.ravel().nonzero()[0], slots)
     won = np.zeros((n_groups, slots), dtype=bool)
@@ -185,7 +202,8 @@ def _checked(scores, shape: tuple, what: str) -> np.ndarray:
     if scores.shape != shape:
         raise ValueError(f"{what} returned shape {scores.shape}, expected {shape}")
     # min and max propagate NaN, which then fails both comparisons
-    if not (scores.min(initial=0.0) >= 0.0 and scores.max(initial=1.0) <= 1.0):
+    if not (np.minimum.reduce(scores, axis=None, initial=0.0) >= 0.0
+            and np.maximum.reduce(scores, axis=None, initial=1.0) <= 1.0):
         raise ValueError(f"{what} returned scores that are not finite and in [0, 1]")
     return scores
 
@@ -200,33 +218,43 @@ def gcp(biasing_list: BiasingList, scorer: GroupScorer, params: PurifyParams) ->
     always kept.
     """
     gs = params.group_size
-    survivors = biasing_list.real_indices()
+    survivors = None  # before the first round: every real entry, 1 .. M-1
+    n = biasing_list.size - 1
     rounds: list[RoundAudit] = []
     for i in range(1, params.n_r + 1):
         # the first round runs even when the list fits one group
-        if survivors.size <= (gs if rounds else 0):
+        if n <= (gs if rounds else 0):
             break
-        members = survivors[round_order(params.shuffle_seed, i, survivors.size)]
-        n_groups = -(-members.size // gs)
+        if survivors is None:
+            members = _first_members(params.shuffle_seed, n)
+        else:
+            members = survivors[round_order(params.shuffle_seed, i, n)]
+        n_groups = -(-n // gs)
         q_list = _checked(scorer.q_list_groups(members, gs), (n_groups, None),
                           "q_list_groups")
-        confident = (q_list > params.thres_list).any(axis=1)
-        n_confident = np.count_nonzero(confident)
+        confident = np.logical_or.reduce(q_list > params.thres_list, axis=1).nonzero()[0]
         survivors = members[:0]
-        if n_confident:
+        if confident.size:
             chosen = members
-            if n_confident < n_groups:
-                # the confident groups' members, gs per group; only the
-                # round's last group can be short
+            # the confident groups' members, gs per group; only the round's
+            # last group can be short
+            if confident.size == 1:
+                g = int(confident[0])
+                q_list = q_list[g : g + 1]
+                chosen = members[g * gs : (g + 1) * gs]
+            elif confident.size < n_groups:
                 q_list = q_list[confident]
                 chosen = np.concatenate([members[g * gs : (g + 1) * gs]
-                                         for g in confident.nonzero()[0].tolist()])
+                                         for g in confident.tolist()])
             q_phr = _checked(scorer.q_phr_for(chosen), (q_list.shape[1], chosen.size),
                              "q_phr_for")
             won = select_winners(q_list, q_phr, params.thres_list, params.n_top, gs)
             survivors = chosen[won]
             survivors.sort()
-        rounds.append(RoundAudit(groups=n_groups, survivors=survivors.size))
+        n = survivors.size
+        rounds.append(RoundAudit(groups=n_groups, survivors=n))
+    if survivors is None:  # no real entry, no round
+        survivors = biasing_list.real_indices()
     return PurifyResult._of_survivors(survivors, rounds)
 
 

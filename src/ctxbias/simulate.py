@@ -339,14 +339,20 @@ class SyntheticScorer:
         return self._list_table[rank, self._steps]
 
     def q_list_for(self, members) -> np.ndarray:
-        """List correlation against the sublist given by original indices."""
+        """List correlation against the sublist given by original indices:
+        ``q_list_groups`` with every member in one group, its largest
+        evidence rank per step taken in one column max."""
         members = np.asarray(members, dtype=np.intp)
-        return self.q_list_groups(members, max(members.size, 1))[0]
+        if members.size == 0:
+            raise ValueError("need a nonempty member list")
+        slot = self._ev_slot[members]
+        rank = np.maximum.reduce(self._ev_rank[:, slot[slot >= 0]], axis=1, initial=0)
+        return self._list_table[rank, self._steps]
 
     def q_phr_for(self, members) -> np.ndarray:
         # take copies in C order; fancy column indexing would return an
         # F-ordered matrix
-        return np.take(self._q_phr, np.asarray(members, dtype=np.intp), axis=1)
+        return self._q_phr.take(np.asarray(members, dtype=np.intp), axis=1)
 
     def bundle(self, members=None) -> CorrelationBundle:
         """Full scorer output against the list, or against the sublist of the

@@ -44,9 +44,13 @@ def triangular_smooth(q_list, p: SmoothingParams) -> np.ndarray:
 
 def estimate_phrase_length(q_slist) -> int:
     """Window length from the smoothed list mass: round-half-up of the sum,
-    clamped to [1, U]."""
+    clamped to [1, U]. A sum that is not finite (a NaN or an infinity in
+    ``q_slist``) raises ``ValueError``."""
     q = np.asarray(q_slist, dtype=float)
-    length = math.floor(float(q.sum()) + 0.5)
+    total = float(np.add.reduce(q, axis=None))
+    if not math.isfinite(total):
+        raise ValueError(f"q_slist sums to {total}: smoothed list scores must be finite")
+    length = math.floor(total + 0.5)
     return max(1, min(q.shape[0], length))
 
 
@@ -72,24 +76,35 @@ def locate_window(q_list, length: int, u: int) -> int:
     return lo + int(np.argmax(window))
 
 
-def guided_phrase_smooth(q_phr: np.ndarray, q_list, q_slist) -> np.ndarray:
-    """Pool phrase scores over the best nearby window, then squash.
+# From this many phrase columns on, the pooled windows' prefix sums are
+# accumulated one vectorized row add per step. np.cumsum(axis=0) runs one
+# inner loop per column, which costs more than the Python loop over rows
+# once the rows are wide; below this width it is the cheaper of the two.
+_ROW_ADD_WIDTH = 200
 
-    The window length comes from the smoothed list scores; its position per
-    step comes from the raw ones. Each output row is tanh of the selected
-    window's column sums, so entries stay in [0,1) for nonnegative input.
+
+def _pool_windows(q_phr, q_list, q_slist):
+    """The pooling of ``guided_phrase_smooth``, once per distinct window.
+
+    Returns ``(pooled, step_rows, starts, length)``. ``length`` is the window
+    length and ``starts`` (U,) each step's window start, as
+    ``estimate_phrase_length`` and ``locate_window`` give them. ``pooled``
+    holds tanh of the window column sums, one row per window, and step u
+    reads row ``step_rows[u]``; when ``step_rows`` is None the rows are the
+    steps themselves. From ``_ROW_ADD_WIDTH`` phrase columns on, steps that
+    share a start share one row. Every value is bit for bit what the per-step
+    pooling gives.
     """
     q_phr = np.asarray(q_phr, dtype=float)
     q = np.asarray(q_list, dtype=float)
     if q_phr.ndim != 2 or q.ndim != 1 or q_phr.shape[0] != q.shape[0]:
         raise ValueError("phrase matrix and list scores disagree on steps")
-    n = q.shape[0]
+    n, m = q_phr.shape
     q_slist = np.asarray(q_slist, dtype=float)
     if q_slist.shape != (n,):
         raise ValueError(f"q_slist has shape {q_slist.shape}, expected ({n},): one "
                          "smoothed list score per step")
     length = estimate_phrase_length(q_slist)
-    col_sums = _box_sums(q_phr, length)  # (n-length+1, M), start-indexed
     # locate_window for every step at once: step u searches starts
     # u-length+1 .. u+length-1, which is row u of a sliding window over the
     # box sums padded with length-1 (left) and 2*length-2 (right) entries of
@@ -97,7 +112,7 @@ def guided_phrase_smooth(q_phr: np.ndarray, q_list, q_slist) -> np.ndarray:
     # box sums are _box_sums(q, length), from prefix sums with a leading 0
     prefix = np.empty(n + 1)
     prefix[0] = 0.0
-    np.cumsum(q, out=prefix[1:])
+    q.cumsum(out=prefix[1:])
     padded = np.empty(n + 2 * length - 2)
     padded[: length - 1] = -np.inf
     padded[n:] = -np.inf
@@ -106,4 +121,44 @@ def guided_phrase_smooth(q_phr: np.ndarray, q_list, q_slist) -> np.ndarray:
     windows = np.ndarray((n, 2 * length - 1), buffer=padded, strides=(step, step))
     starts = windows.argmax(axis=1)
     starts += np.arange(1 - length, n + 1 - length)
-    return np.tanh(col_sums[starts])
+    if m < _ROW_ADD_WIDTH:
+        # _box_sums(q_phr, length) at every step's start, from prefix sums
+        # with a leading zero row
+        c = np.empty((n + 1, m))
+        c[0] = 0.0
+        q_phr.cumsum(axis=0, out=c[1:])
+        pooled = np.subtract(c[length:], c[:-length])[starts]
+        return np.tanh(pooled, out=pooled), None, starts, length
+    # for finite list scores, starts never descend: step u+1 searches step
+    # u's range shifted right by one, so its best start is step u's unless
+    # that fell off the left end or a larger sum came in on the right. A
+    # start that differs from its left neighbour's opens a new row (a NaN
+    # can break the order, which costs repeated rows, never a wrong one)
+    opens = np.empty(n, dtype=bool)
+    opens[0] = True
+    np.not_equal(starts[1:], starts[:-1], out=opens[1:])
+    rows = starts[opens]
+    step_rows = opens.cumsum()
+    step_rows -= 1
+    # prefix sums c[i] = q_phr[0] + ... + q_phr[i-1], added up in the order
+    # np.cumsum adds them, up to the last row a window reads
+    last = int(rows.max()) + length
+    c = np.empty((last + 1, m))
+    c[0] = 0.0
+    c[1] = q_phr[0]
+    for i in range(1, last):
+        np.add(c[i], q_phr[i], out=c[i + 1])
+    pooled = c[rows + length]
+    pooled -= c[rows]
+    return np.tanh(pooled, out=pooled), step_rows, starts, length
+
+
+def guided_phrase_smooth(q_phr: np.ndarray, q_list, q_slist) -> np.ndarray:
+    """Pool phrase scores over the best nearby window, then squash.
+
+    The window length comes from the smoothed list scores; its position per
+    step comes from the raw ones. Each output row is tanh of the selected
+    window's column sums, so entries stay in [0,1) for nonnegative input.
+    """
+    pooled, step_rows, _, _ = _pool_windows(q_phr, q_list, q_slist)
+    return pooled if step_rows is None else pooled[step_rows]

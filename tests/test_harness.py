@@ -18,7 +18,12 @@ from ctxbias.harness import cli, config, corpusgen, report, runner
 from ctxbias.jointdecode import attention_decode, count_phrases, decode_utterance, greedy_decode
 from ctxbias.metrics import MetricsReport, cer, retention_rate
 from ctxbias.simulate import SyntheticScorer, synth_backbone
-from ctxbias.smoothing import guided_phrase_smooth, triangular_smooth
+from ctxbias.smoothing import (
+    estimate_phrase_length,
+    guided_phrase_smooth,
+    locate_window,
+    triangular_smooth,
+)
 
 
 def _small_config(**kw):
@@ -677,12 +682,16 @@ def test_cli_gen_and_decode(tmp_path, capsys):
     bundle = SyntheticScorer(utt, biasing_list, corp.vocabulary, cfg.noise_for(cfg.seed)).bundle()
     res = decode_utterance(bundle, biasing_list, phi, cfg.smoothing)
     q_slist = triangular_smooth(bundle.q_list, cfg.smoothing)
+    length = estimate_phrase_length(q_slist)
     expected = {
         "q_list": bundle.q_list,
         "q_slist": q_slist,
         "q_sphr": guided_phrase_smooth(bundle.q_phr, bundle.q_list, q_slist),
         "q_bias": res.q_bias,
         "q_casr": res.q_casr,
+        "window_start": [locate_window(bundle.q_list, length, u)
+                         for u in range(utt.n_steps)],
+        "phrase_length": length,
         "p_bb": bundle.p_bb,
         "hyp_bb": res.hyp_bb,
         "hyp_casr": res.hyp_casr,
@@ -726,6 +735,7 @@ def test_cli_decode_of_a_stored_bundle_equals_the_in_process_decode(tmp_path, ca
     res = decode_utterance(bundle, biasing_list, phi, cfg.smoothing)
     expected = {"q_list": bundle.q_list, "q_slist": res.weight, "q_sphr": res.q_sphr,
                 "q_bias": res.q_bias, "q_casr": res.q_casr, "p_bb": bundle.p_bb,
+                "window_start": res.window_start, "phrase_length": res.phrase_length,
                 "hyp_bb": res.hyp_bb, "hyp_casr": res.hyp_casr, "hyp_final": res.hyp_final}
     for name, want in expected.items():
         want = np.asarray(want)

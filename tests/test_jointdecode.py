@@ -314,3 +314,39 @@ def test_stages_reject_a_q_slist_that_is_not_one_weight_per_step(stage, q_slist)
                                            np.full((2, 3), 1 / 3), _ONES_2X3)
         else:
             guided_phrase_smooth(np.full((4, 2), 0.5), np.full(4, 0.5), q_slist)
+
+
+def test_intersection_over_shared_rows_equals_the_per_step_intersection():
+    rng = np.random.default_rng(14)
+    v = _vocab(n_chars=30)
+    bl = corpus.make_biasing_list([(2, 3), (4, 5), (6, 7, 8), (3, 9), (11, 12)], v)
+    phi = corpus.build_phi(bl, v)
+    for u in (1, 2, 9):
+        for k in sorted({1, max(1, u // 2), u}):
+            pooled = rng.uniform(size=(k, bl.size))
+            step_rows = np.sort(rng.integers(0, k, size=u))
+            q_slist = rng.uniform(size=u)
+            q_tok = rng.dirichlet(np.ones(v.size), size=u)
+            for tok in (q_tok, np.asfortranarray(q_tok)):
+                want = jointdecode.joint_intersection(q_slist, pooled[step_rows], tok, phi)
+                got = jointdecode.joint_intersection(q_slist, pooled, tok, phi, None, step_rows)
+                assert got.tobytes() == want.tobytes()
+                kept = np.array([0, 2, 3])
+                want = jointdecode.joint_intersection(q_slist, pooled[step_rows][:, :3], tok,
+                                                      phi, kept)
+                got = jointdecode.joint_intersection(q_slist, pooled[:, :3], tok, phi, kept,
+                                                     step_rows)
+                assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("step_rows, match", [
+    (np.array([0.0, 1.0, 1.0, 0.0]), "integer"),
+    (np.zeros((4, 1), dtype=int), "1-d"),
+    (np.array([0, 1, 2, 0]), "index the 2 rows"),
+    (np.array([0, -1, 1, 0]), "index the 2 rows"),
+    (np.array([0, 1, 1]), "disagree"),
+])
+def test_intersection_rejects_step_rows_that_do_not_index_the_rows(step_rows, match):
+    with pytest.raises(ValueError, match=match):
+        jointdecode.joint_intersection(np.full(4, 0.5), np.full((2, 2), 0.5),
+                                       np.full((4, 3), 1 / 3), _ONES_2X3, None, step_rows)

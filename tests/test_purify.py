@@ -115,6 +115,21 @@ def test_select_winners_stacked_groups_flatten_to_group_times_slots():
         purify.select_winners(q_list, side_by_side[:, :36], 0.5, 3, slots)
 
 
+def test_select_winners_one_short_group_competes_over_its_own_columns():
+    """One group of fewer columns than slots, as gcp hands over a lone
+    confident last group: the missing slots would score zero, so the group
+    competes over its own columns, ties at the n_top-th place included."""
+    gen = np.random.default_rng(3)
+    for trial in range(40):
+        u, n, slots = 6, int(gen.integers(1, 12)), 12
+        q_list = gen.uniform(size=(1, u))
+        q_phr = gen.integers(0, 3, size=(u, n)) / 2.0
+        for n_top in (1, 3, n, slots - 1, slots + 2):
+            got = purify.select_winners(q_list, q_phr, 0.5, n_top, slots)
+            assert got.dtype == np.intp
+            assert tuple(got) == _bruteforce_winners(q_list[0], q_phr, 0.5, n_top)
+
+
 def test_zero_noise_purification_keeps_exactly_the_golds():
     v, bl = _corpus_with_list()
     utt = _utterance_for(bl, [3, 17])

@@ -274,6 +274,8 @@ def test_q_list_groups_rows_equal_q_list_for():
         scorer.q_list_groups([], 3)
     with pytest.raises(ValueError):
         scorer.q_list_groups([1, 2], 0)
+    with pytest.raises(ValueError, match="nonempty"):
+        scorer.q_list_for([])
 
 
 def test_bundle_file_round_trip(tmp_path):

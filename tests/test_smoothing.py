@@ -1,4 +1,5 @@
 import numpy as np
+import parent_decode
 import pytest
 
 from ctxbias import smoothing
@@ -135,3 +136,93 @@ def test_smoothing_is_deterministic_and_length_preserving():
     a = smoothing.triangular_smooth(q, p)
     assert np.array_equal(a, smoothing.triangular_smooth(q, p))
     assert a.shape == q.shape
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_non_finite_smoothed_scores_raise_naming_q_slist(bad):
+    q_slist = np.full(5, 0.2)
+    q_slist[2] = bad
+    with pytest.raises(ValueError, match="q_slist"):
+        smoothing.estimate_phrase_length(q_slist)
+    with pytest.raises(ValueError, match="q_slist"):
+        smoothing.guided_phrase_smooth(np.full((5, 3), 0.5), np.full(5, 0.5), q_slist)
+    # infinities of both signs sum to NaN, which numpy warns about first
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="q_slist"):
+        smoothing.estimate_phrase_length(np.array([np.inf, -np.inf]))
+
+
+def _check_pooled(q_phr, q_list, q_slist, side):
+    """``_pool_windows`` against ``locate_window``, ``estimate_phrase_length``
+    and the parent's per-step pooling, bit for bit; returns the row count."""
+    pooled, step_rows, starts, length = smoothing._pool_windows(q_phr, q_list, q_slist)
+    n = len(q_list)
+    assert length == smoothing.estimate_phrase_length(q_slist)
+    assert starts.tolist() == [smoothing.locate_window(q_list, length, u) for u in range(n)]
+    want = parent_decode.guided_phrase_smooth(q_phr, q_list, q_slist)
+    got = smoothing.guided_phrase_smooth(q_phr, q_list, q_slist)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if side == "cumsum":
+        assert step_rows is None and pooled.tobytes() == want.tobytes()
+        return n
+    distinct = sorted(set(starts.tolist()))
+    assert pooled.shape == (len(distinct), np.shape(q_phr)[1])
+    assert [distinct[r] for r in step_rows] == starts.tolist()
+    assert pooled[step_rows].tobytes() == want.tobytes()
+    return len(distinct)
+
+
+def test_pooled_windows_match_the_per_step_pooling(width_sides):
+    # every window length 1..U, widths 1-17 and 1196, ties in the list
+    # scores on even trials
+    rng = np.random.default_rng(8)
+    for trial in range(120):
+        n = int(rng.integers(1, 14))
+        m = 1196 if trial % 10 == 0 else int(rng.integers(1, 18))
+        q_list = rng.integers(0, 3, size=n) / 2.0 if trial % 2 == 0 else rng.uniform(size=n)
+        q_phr = rng.uniform(size=(n, m))
+        for side in width_sides():
+            for length in range(1, n + 1):
+                _check_pooled(q_phr, q_list, np.full(n, length / n), side)
+
+
+def test_pooled_windows_share_rows_at_the_edges(width_sides):
+    rng = np.random.default_rng(9)
+    for side in width_sides():
+        per_step = side == "cumsum"
+        for n in (1, 2, 5, 16):
+            q_phr = rng.uniform(size=(n, 7))
+            # U = 1: one step, one window
+            # L = U: every step in the one window that fits (k = 1)
+            k = _check_pooled(q_phr, rng.uniform(size=n), np.ones(n), side)
+            assert k == (n if per_step else 1)
+            # L = 1 with ascending list scores: every step in its own window
+            # (k = U)
+            k = _check_pooled(q_phr, np.linspace(0, 1, n), np.zeros(n), side)
+            assert k == n
+            # a flat list: every search ties, and ties go to the smallest
+            # start, so with L = 2 steps 0 and 1 share start 0
+            k = _check_pooled(q_phr, np.full(n, 0.5), np.full(n, 2 / n), side)
+            assert k == (n if per_step else max(1, n - 1))
+
+
+def test_pooled_windows_read_fortran_ordered_and_strided_phrase_scores(width_sides):
+    rng = np.random.default_rng(10)
+    for n, m in ((1, 3), (6, 5), (16, 17), (16, 1196)):
+        q_list = rng.uniform(size=n)
+        base = rng.uniform(size=(2 * n, 2 * m))
+        for q_phr in (np.asfortranarray(base[:n, :m]), base[::2, ::2], base[:n, 1::2]):
+            for side in width_sides():
+                for length in sorted({1, max(1, n // 2), n}):
+                    _check_pooled(q_phr, q_list, np.full(n, length / n), side)
+
+
+def test_the_width_selection_is_at_the_row_add_width():
+    rng = np.random.default_rng(11)
+    q_list = rng.uniform(size=9)
+    q_slist = np.full(9, 3 / 9)
+    for m in (smoothing._ROW_ADD_WIDTH - 1, smoothing._ROW_ADD_WIDTH):
+        q_phr = rng.uniform(size=(9, m))
+        pooled, step_rows, starts, _ = smoothing._pool_windows(q_phr, q_list, q_slist)
+        assert (step_rows is None) == (m < smoothing._ROW_ADD_WIDTH)
+        assert _check_pooled(q_phr, q_list, q_slist,
+                             "cumsum" if step_rows is None else "row_adds") == len(pooled)
