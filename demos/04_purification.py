@@ -15,7 +15,6 @@ sublist it stands for.
 import time
 
 from ctxbias import (
-    KeptSet,
     NoiseSpec,
     PurifyParams,
     SmoothingParams,
@@ -47,11 +46,11 @@ def main() -> None:
     for i, rnd in enumerate(res.rounds, start=1):
         print(f"  gcp round {i}: {rnd.groups} groups -> {rnd.survivors} survivors")
     print(f"  gcp kept {res.m_pur} entries; golds kept: "
-          f"{[g for g in golds if g in res.kept]}")
+          f"{[g for g in golds if res.kept.members[g]]}")
 
     res_o = ocp(blist, scorer, params)
     print(f"  ocp kept {res_o.m_pur} entries; golds kept: "
-          f"{[g for g in golds if g in res_o.kept]}")
+          f"{[g for g in golds if res_o.kept.members[g]]}")
 
     # count how often the single global round drops a gold
     dropped = 0
@@ -61,8 +60,8 @@ def main() -> None:
             continue
         eligible += 1
         sc = SyntheticScorer(u, blist, vocab, noise)
-        kept_o = set(ocp(blist, sc, params).kept)
-        if any(s.phrase not in kept_o for s in u.spans):
+        kept_o = ocp(blist, sc, params).kept.members
+        if not all(kept_o[s.phrase] for s in u.spans):
             dropped += 1
     print(f"\nocp dropped a gold from {dropped}/{eligible} spanned utterances "
           f"at sigma={noise.score_jitter_sigma}")
@@ -76,11 +75,11 @@ def main() -> None:
     t_full = time.perf_counter() - t0
 
     # the purified decode reads the full list's scan table and the full
-    # mask's nonzeros through the kept set, checked once
+    # mask's nonzeros through the kept set purification returns
     t0 = time.perf_counter()
     pres = gcp(blist, scorer, params)
-    kept = KeptSet.of(pres.indices, blist.size)
-    small = decode_utterance(scorer.bundle(kept), blist, phi, SmoothingParams(), kept)
+    small = decode_utterance(scorer.bundle(pres.kept), blist, phi, SmoothingParams(),
+                             pres.kept)
     t_small = time.perf_counter() - t0
 
     same = full.hyp_final == small.hyp_final

@@ -162,8 +162,8 @@ class BiasingList:
         return np.arange(1, self.size)
 
     def sublist(self, kept) -> "BiasingList":
-        """Restriction to the given original indices (see ``check_kept``), in order."""
-        kept = check_kept(kept, self.size)
+        """Restriction to the given original indices (see ``KeptSet.of``), in order."""
+        kept = KeptSet.of(kept, self.size).indices.tolist()
         # distinct phrases of a valid list, no-bias first, form a valid list:
         # skip re-validating them
         sub = object.__new__(BiasingList)
@@ -172,31 +172,15 @@ class BiasingList:
         return sub
 
 
-def check_kept(kept, size: int) -> list:
-    """The indices of a restriction of a ``size``-entry list, as a list:
-    distinct, in 0..size-1 and led by the no-bias entry 0, else
-    ``ValueError`` names the offending index."""
-    kept = list(kept)
-    if not kept or kept[0] != 0:
-        first = kept[0] if kept else "missing"
-        raise ValueError(f"the first kept index is {first}, not the no-bias entry 0")
-    if min(kept) < 0 or max(kept) >= size:
-        bad = next(k for k in kept if not 0 <= k < size)
-        raise ValueError(f"kept index {bad} is outside 0..{size - 1}")
-    if len(set(kept)) != len(kept):
-        raise ValueError(f"kept index {next(k for k in kept if kept.count(k) > 1)} repeats")
-    return kept
-
-
 @dataclass(frozen=True, eq=False)
 class KeptSet:
     """The kept entries of a ``size``-entry biasing list, checked once:
     ``indices``, the original indices in kept order, and ``members``, a
     flag per list entry; both arrays are read-only. Make one with
-    ``KeptSet.of``; the constructor checks nothing. The scorer's ``bundle``
-    and the purified decode take theirs through ``KeptSet.of``, which hands
-    a ``KeptSet`` back as it is, so a kept set made once is not checked
-    again.
+    ``KeptSet.of``; the constructor checks nothing. Purification returns
+    one, and the scorer's ``bundle`` and the purified decode take it as it
+    is. Two kept sets are equal when they keep the same indices, in the
+    same order, of lists of one size.
     """
 
     indices: np.ndarray
@@ -206,9 +190,10 @@ class KeptSet:
     def of(cls, kept, size: int) -> "KeptSet":
         """``kept`` as the kept set of a ``size``-entry list: a ``KeptSet``
         of that list size as it is; anything else must be integers of shape
-        (n,) that obey ``check_kept``, else ``ValueError``. Indices ascending
-        from 0 to below ``size``, the form purification returns, are decided
-        by array operations alone; any other set goes to ``check_kept``."""
+        (n,), distinct, in 0..size-1 and led by the no-bias entry 0, else
+        ``ValueError`` names the offending index as given. Indices ascending
+        from 0 to below ``size``, the form purification makes, are decided
+        by array operations alone; any other set is checked one by one."""
         if isinstance(kept, KeptSet):
             if kept.members.size != size:
                 raise ValueError(f"the kept set is of a {kept.members.size}-entry list, "
@@ -219,24 +204,33 @@ class KeptSet:
             raise ValueError(f"kept indices must be integers, got dtype {indices.dtype}")
         if indices.ndim != 1:
             raise ValueError(f"kept indices have shape {indices.shape}, expected (n,)")
-        indices = indices.astype(np.intp, copy=False)
         if not (indices.size and indices[0] == 0 and indices[-1] < size
                 and (indices[1:] > indices[:-1]).all()):
-            check_kept(indices.tolist(), size)
+            listed = indices.tolist()
+            if not listed or listed[0] != 0:
+                first = listed[0] if listed else "missing"
+                raise ValueError(f"the first kept index is {first}, not the no-bias entry 0")
+            bad = next((k for k in listed if not 0 <= k < size), None)
+            if bad is not None:
+                raise ValueError(f"kept index {bad} is outside 0..{size - 1}")
+            if len(set(listed)) != len(listed):
+                repeat = next(k for k in listed if listed.count(k) > 1)
+                raise ValueError(f"kept index {repeat} repeats")
+        # in range now, so the cast is exact
+        indices = indices.astype(np.intp, copy=False)
         if indices.flags.writeable:  # possibly the caller's own array
             indices = indices.copy()
             indices.flags.writeable = False
-        return cls._of_checked(indices, size)
-
-    @classmethod
-    def _of_checked(cls, indices: np.ndarray, size: int) -> "KeptSet":
-        """The kept set of read-only intp indices known to obey
-        ``check_kept`` for a ``size``-entry list, as purification returns
-        them: they are not checked again."""
         members = np.zeros(size, dtype=bool)
         members[indices] = True
         members.flags.writeable = False
         return cls(indices=indices, members=members)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, KeptSet):
+            return NotImplemented
+        return self.members.size == other.members.size and np.array_equal(
+            self.indices, other.indices)
 
     def _scan_heads(self, biasing_list: BiasingList) -> tuple[list[int], set[int]]:
         """The kept real phrases' distinct lengths, longest first, and their

@@ -153,9 +153,32 @@ def emit_report(results: dict, outdir) -> list[Path]:
     return written
 
 
+# what the table and the CSV read from a cell record: its keys, and theirs
+_CELL_KEYS = {"method": (), "list_length": (), "metrics": ("cer", "recall", "precision", "f1"),
+              "timing": ("rtf", "decode_seconds", "audio_seconds")}
+
+
 def read_cells(rundir) -> list[dict]:
-    """Load cell JSONs back, e.g. to rebuild the table without rerunning."""
+    """Load cell JSONs back, e.g. to rebuild the table without rerunning.
+    A file that is not JSON, not an object, or lacks a key the table reads
+    raises ``ValueError`` naming the file (and the key)."""
     paths = sorted(Path(rundir).glob("cell_*.json"))
     if not paths:
         raise ValueError(f"no cell files under {rundir}")
-    return [json.loads(p.read_text(encoding="utf-8")) for p in paths]
+    records = []
+    for path in paths:
+        try:
+            record = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"cell file {path} is not JSON: {exc}") from None
+        if not isinstance(record, dict):
+            raise ValueError(f"cell file {path} holds a JSON {type(record).__name__}, "
+                             f"not an object")
+        for key, inner in _CELL_KEYS.items():
+            if key not in record:
+                raise ValueError(f"cell file {path} has no key '{key}'")
+            for sub in inner:
+                if not isinstance(record[key], dict) or sub not in record[key]:
+                    raise ValueError(f"cell file {path} has no key '{key}.{sub}'")
+        records.append(record)
+    return records

@@ -17,9 +17,9 @@ Timing covers the per-utterance decode path only: purification when the
 method asks for it, score slicing for the surviving sublist, and decoding.
 Producing the correlation scores themselves is the scorer's forward pass,
 i.e. model inference, so it stays outside the clock, as do corpus
-generation, metric computation, and I/O. With several workers the
-recorded decode time is the sum of per-utterance walls rather than
-elapsed wall clock.
+generation, the outcome's tuple of kept indices, metric computation, and
+I/O. With several workers the recorded decode time is the sum of
+per-utterance walls rather than elapsed wall clock.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus import (BiasingList, KeptSet, PhiMask, Utterance, Vocabulary, build_phi,
-                      validate_spans)
+from ..corpus import BiasingList, PhiMask, Utterance, Vocabulary, build_phi, validate_spans
 from ..jointdecode import (
     attention_decode,
     count_phrases,
@@ -116,12 +115,9 @@ def decode_one(
             else:
                 if method in PURIFY_METHODS:
                     pick = gcp if "gcp" in method else ocp
-                    purified = pick(biasing_list, scorer, params)
-                    kept = purified.kept
-                    # purification's indices are a kept set as they stand
-                    kept_set = KeptSet._of_checked(purified.indices, biasing_list.size)
-                    res = decode_utterance(scorer.bundle(kept_set), biasing_list, phi,
-                                           config.smoothing, kept_set)
+                    kept = pick(biasing_list, scorer, params).kept
+                    res = decode_utterance(scorer.bundle(kept), biasing_list, phi,
+                                           config.smoothing, kept)
                 else:
                     bundle = scorer.bundle(np.arange(biasing_list.size))
                     if method.startswith("attn"):
@@ -143,7 +139,7 @@ def decode_one(
             outcomes[(m, method)] = UttOutcome(
                 uid=utt.uid,
                 hyp=hyp,
-                kept=kept,
+                kept=None if kept is None else tuple(kept.indices.tolist()),
                 wall_seconds=wall,
                 edits=score(hyp)[1:],
                 count_bb=counts[hyp_bb],

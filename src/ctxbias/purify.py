@@ -19,7 +19,7 @@ from typing import NamedTuple, Protocol
 import numpy as np
 
 from . import rng
-from .corpus import BiasingList, PhiMask, check_kept
+from .corpus import BiasingList, KeptSet, PhiMask
 
 
 @dataclass(frozen=True)
@@ -46,41 +46,13 @@ class RoundAudit(NamedTuple):
 
 @dataclass(frozen=True)
 class PurifyResult:
-    kept: tuple[int, ...]
+    kept: KeptSet
     rounds: tuple[RoundAudit, ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.kept)) != len(self.kept):
-            raise ValueError("kept indices must be distinct")
-        if not self.kept or self.kept[0] != 0:
-            raise ValueError("the no-bias entry must be kept")
 
     @property
     def m_pur(self) -> int:
         """The size of the purified list, no-bias entry included."""
-        return len(self.kept)
-
-    @functools.cached_property
-    def indices(self) -> np.ndarray:
-        """``kept`` as a read-only intp array: the form the scorer's
-        ``bundle`` and ``decode_utterance(..., kept=)`` take as it is."""
-        indices = np.array(self.kept, dtype=np.intp)
-        indices.flags.writeable = False
-        return indices
-
-    @classmethod
-    def _of_survivors(cls, survivors: np.ndarray, rounds) -> "PurifyResult":
-        """The result that keeps the no-bias entry and the ascending real
-        indices ``survivors``: distinct and led by 0 as they stand, so
-        ``__post_init__`` is not run."""
-        indices = np.zeros(survivors.size + 1, dtype=np.intp)
-        indices[1:] = survivors
-        indices.flags.writeable = False
-        res = object.__new__(cls)
-        object.__setattr__(res, "kept", tuple(indices.tolist()))
-        object.__setattr__(res, "rounds", tuple(rounds))
-        res.__dict__["indices"] = indices  # what the cached property would hold
-        return res
+        return self.kept.indices.size
 
 
 class GroupScorer(Protocol):
@@ -255,7 +227,10 @@ def gcp(biasing_list: BiasingList, scorer: GroupScorer, params: PurifyParams) ->
         rounds.append(RoundAudit(groups=n_groups, survivors=n))
     if survivors is None:  # no real entry, no round
         survivors = biasing_list.real_indices()
-    return PurifyResult._of_survivors(survivors, rounds)
+    kept = np.zeros(survivors.size + 1, dtype=np.intp)  # the no-bias entry first
+    kept[1:] = survivors
+    kept.flags.writeable = False  # so KeptSet.of takes the array without a copy
+    return PurifyResult(kept=KeptSet.of(kept, biasing_list.size), rounds=tuple(rounds))
 
 
 def ocp(biasing_list: BiasingList, scorer: GroupScorer, params: PurifyParams) -> PurifyResult:
@@ -265,6 +240,6 @@ def ocp(biasing_list: BiasingList, scorer: GroupScorer, params: PurifyParams) ->
 
 
 def restrict_phi(phi: PhiMask, kept) -> PhiMask:
-    """Containment mask for the kept sublist; ``kept`` obeys ``check_kept``."""
+    """Containment mask for the kept sublist; ``kept`` obeys ``KeptSet.of``."""
     # fancy indexing already copies the rows
-    return PhiMask(matrix=phi.matrix[check_kept(kept, phi.matrix.shape[0])])
+    return PhiMask(matrix=phi.matrix[KeptSet.of(kept, phi.matrix.shape[0]).indices])

@@ -81,6 +81,9 @@ def test_sublist_rejects_bad_indices_and_equals_a_validated_list():
             bl.sublist(bad)
     with pytest.raises(ValueError):
         bl.sublist([])
+    for bad in ((0, 1.0), [0, 1.5]):
+        with pytest.raises(ValueError, match="must be integers"):
+            bl.sublist(bad)
     gen = np.random.default_rng(4)
     for _ in range(50):
         rest = gen.permutation(np.arange(1, bl.size))[: gen.integers(0, bl.size)]
@@ -329,9 +332,15 @@ def test_kept_set_is_checked_once_and_read_only():
     for arr in (ks.indices, ks.members):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
+    # equal by value: the same indices, in the same order, of one list size
+    assert corpus.KeptSet.of(np.array([0, 4, 2], dtype=np.uint64), 6) == ks
+    assert corpus.KeptSet.of([0, 2, 4], 6) != ks and corpus.KeptSet.of([0, 4, 2], 7) != ks
     for bad, named in (([], "first kept index is missing"), ([3, 0], "first kept index is 3"),
                        ([0, -1], "index -1 is outside 0..5"), ([0, 6], "index 6 is outside"),
                        ([0, 2, 2], "index 2 repeats"), ([0, 1.5], "must be integers"),
-                       (np.zeros((1, 2), dtype=int), r"shape \(1, 2\)")):
+                       (np.zeros((1, 2), dtype=int), r"shape \(1, 2\)"),
+                       # named as given, not as a wrapped intp
+                       (np.array([0, 2**63], dtype=np.uint64),
+                        "index 9223372036854775808 is outside 0..5")):
         with pytest.raises(ValueError, match=named):
             corpus.KeptSet.of(bad, 6)

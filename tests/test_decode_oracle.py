@@ -195,7 +195,7 @@ def test_purified_decode_through_the_full_list_matches_the_sublist_decode(sigma,
         for utt in corp.utterances:
             scorer = simulate.SyntheticScorer(utt, bl, corp.vocabulary, config.noise_for(1), phi)
             for pick in (purify.gcp, purify.ocp):
-                kept = pick(bl, scorer, params).kept
+                kept = pick(bl, scorer, params).kept.indices.tolist()
                 sizes.append(len(kept))
                 sub, sub_phi = bl.sublist(kept), purify.restrict_phi(phi, kept)
                 want = jointdecode.decode_utterance(scorer.bundle(kept), sub, sub_phi, PARAMS)

@@ -393,7 +393,7 @@ def _direct_decode(utt, biasing_list, vocab, cfg, method, seed):
     kept = None
     if "cp" in method:
         pick = purify.gcp if "gcp" in method else purify.ocp
-        kept = pick(biasing_list, scorer, cfg.purify_for(seed)).kept
+        kept = tuple(pick(biasing_list, scorer, cfg.purify_for(seed)).kept.indices.tolist())
         res = decode_utterance(scorer.bundle(kept), biasing_list.sublist(kept),
                                purify.restrict_phi(phi, kept), cfg.smoothing)
     elif method == "attn":
@@ -637,6 +637,19 @@ def test_read_cells_round_trip(tmp_path):
     assert sorted(rebuilt.splitlines()) == sorted(direct.splitlines())
     with pytest.raises(ValueError):
         report.read_cells(tmp_path / "empty")
+    # a broken cell file is named, with what is wrong in it
+    record = report.cell_record(results[("joint", 51, 0)])
+    del record["metrics"]["f1"]
+    for text, named in ((json.dumps({"method": "joint", "list_length": 51}), "key 'metrics'"),
+                        (json.dumps(record), "'metrics.f1'"),
+                        ("{not json", "is not JSON"),
+                        ("[1, 2]", "holds a JSON list")):
+        broken = tmp_path / "broken"
+        broken.mkdir(exist_ok=True)
+        (broken / "cell_x.json").write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=named) as caught:
+            report.read_cells(broken)
+        assert "cell_x.json" in str(caught.value)
 
 
 # ------------------------------------------------------------------- cli

@@ -184,6 +184,32 @@ def test_decode_with_kept_indices_checks_them_against_list_and_bundle():
                                      corpus.KeptSet.of([0, 1], 2))
 
 
+@pytest.mark.parametrize("bad, named", [
+    ([], "first kept index is missing"),
+    ([2, 3], "first kept index is 2,"),
+    ([0, -1], "index -1 is outside 0..3"),
+    ([0, 4], "index 4 is outside"),
+    ([0, 2, 2], "index 2 repeats"),
+    ((0, 1.0), "must be integers"),
+    ([0, 1.5], "must be integers"),
+    (np.zeros((1, 2), dtype=int), r"shape \(1, 2\)"),
+    (np.array([0, 2**63], dtype=np.uint64), "index 9223372036854775808 is outside"),
+    (corpus.KeptSet.of([0, 1], 3), "kept set is of a 3-entry list"),
+])
+def test_kept_entry_points_reject_bad_sets_by_one_rule(bad, named):
+    """The decode, the scan and the intersection take a kept set through
+    ``KeptSet.of``, so each rejects a bad one with its message."""
+    v, bl, utt, bundle, phi = _clean_case()
+    ones = np.ones(bundle.q_tok.shape[0])
+    for call in (
+        lambda: jointdecode.decode_utterance(bundle, bl, phi, SmoothingParams(), bad),
+        lambda: corpus.scan_occurrences(utt.tokens, bl, bad),
+        lambda: jointdecode.joint_intersection(ones, bundle.q_phr, bundle.q_tok, phi, bad),
+    ):
+        with pytest.raises(ValueError, match=named):
+            call()
+
+
 def test_decode_corrects_homophone_confusions():
     # backbone mishears one step of each name; the scorers know better
     v, bl, utt, bundle, phi = _clean_case(spans=((1, 3, 1), (4, 6, 2)))

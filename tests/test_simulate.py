@@ -323,7 +323,8 @@ def test_prefix_slice_of_longest_scorer_matches_fresh_scorer():
     for bad, named in (([], "first kept index is missing"), ([2, 3], "first kept index is 2,"),
                        ([0, -1], "index -1 is outside 0..600"), ([0, 601], "index 601 is outside"),
                        (np.arange(602), "index 601 is outside"), ([0, 2, 2], "index 2 repeats"),
-                       ([0, 5, 2, 2, 5], "index 5 repeats")):
+                       ([0, 5, 2, 2, 5], "index 5 repeats"), ((0, 1.0), "must be integers"),
+                       ([0, 1.5], "must be integers")):
         with pytest.raises(ValueError, match=named):
             big.bundle(bad)
         with pytest.raises(ValueError, match=named):
