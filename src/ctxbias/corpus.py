@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -23,10 +22,6 @@ NO_BIAS_TOKEN = "<nb>"
 
 MIN_PHRASE_LEN = 2
 MAX_PHRASE_LEN = 19
-
-
-class UnknownTokenWarning(UserWarning):
-    """A character outside the vocabulary was mapped to the unknown token."""
 
 
 @dataclass(frozen=True)
@@ -63,19 +58,14 @@ class Vocabulary:
         return self._index[token]
 
     def encode(self, text: str) -> tuple[int, ...]:
-        """Map characters to ids; out-of-vocabulary characters become unknown."""
-        ids = []
-        for ch in text:
-            idx = self._index.get(ch)
-            if idx is None:
-                warnings.warn(
-                    f"character {ch!r} not in vocabulary, mapped to {UNKNOWN_TOKEN}",
-                    UnknownTokenWarning,
-                    stacklevel=2,
-                )
-                idx = self.unknown_index
-            ids.append(idx)
-        return tuple(ids)
+        """Map characters to ids; a character outside the vocabulary raises
+        ``ValueError`` naming it and its position."""
+        try:
+            return tuple(map(self._index.__getitem__, text))
+        except KeyError as exc:
+            ch = exc.args[0]
+            raise ValueError(f"character {ch!r} at position {text.index(ch)} "
+                             f"is not in the vocabulary") from None
 
     def decode(self, ids) -> str:
         return "".join(self.tokens[i] for i in ids)
@@ -111,8 +101,8 @@ class BiasingList:
     """Biasing phrases, each a tuple of token ids, with the no-bias entry
     ``(no_bias_token,)`` at index 0.
 
-    M (``size``) counts the no-bias entry, so a file of 50 phrases loads as
-    a list of size 51.
+    M (``size``) counts the no-bias entry, so 50 real phrases make a list
+    of size 51.
     """
 
     phrases: tuple[tuple[int, ...], ...]
@@ -420,28 +410,6 @@ def build_phi(biasing_list: BiasingList, vocab: Vocabulary) -> PhiMask:
     return PhiMask(matrix=matrix)
 
 
-def load_biasing_list(path, vocab: Vocabulary) -> BiasingList:
-    """Load one phrase per UTF-8 line; blank lines are skipped.
-
-    Duplicate lines are rejected, and a file with no phrases raises
-    ``ValueError("empty biasing list")``.
-    """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    seqs: list[tuple[int, ...]] = []
-    seen_text: set[str] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text:
-            continue
-        if text in seen_text:
-            raise ValueError(f"duplicate biasing phrase at line {lineno}: {text!r}")
-        seen_text.add(text)
-        seqs.append(vocab.encode(text))
-    if not seqs:
-        raise ValueError("empty biasing list")
-    return make_biasing_list(seqs, vocab)
-
-
 def save_biasing_list(biasing_list: BiasingList, vocab: Vocabulary, path) -> None:
     """Write real phrases one per line (the no-bias entry is implicit)."""
     lines = [vocab.decode(p) for p in biasing_list.phrases[1:]]
@@ -450,54 +418,6 @@ def save_biasing_list(biasing_list: BiasingList, vocab: Vocabulary, path) -> Non
 
 def _format_spans(spans) -> str:
     return ";".join(f"{s.start}:{s.end}:{s.phrase}" for s in spans)
-
-
-def _parse_spans(text: str) -> tuple[Span, ...]:
-    spans = []
-    for chunk in text.split(";"):
-        if not chunk:
-            continue
-        start, end, phrase = (int(x) for x in chunk.split(":"))
-        spans.append(Span(start, end, phrase))
-    return tuple(spans)
-
-
-def load_utterances(path, vocab: Vocabulary, biasing_list: BiasingList | None = None):
-    """Load a TSV manifest: id, text, duration, optional span column.
-
-    Spans are formatted ``start:end:phrase_index`` and separated by
-    semicolons. When a biasing list is supplied, each span is also checked
-    against the referenced phrase and rejected with the offending id. A
-    repeated id, or a duration or span field that does not parse, is
-    rejected with its line number.
-    """
-    utterances: list[Utterance] = []
-    line_of: dict[str, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not raw.strip():
-            continue
-        parts = raw.split("\t")
-        if len(parts) not in (3, 4):
-            raise ValueError(f"line {lineno}: expected 3 or 4 tab-separated fields")
-        uid, text = parts[0], parts[1]
-        if uid in line_of:
-            raise ValueError(f"line {lineno}: utterance id {uid!r} repeats line {line_of[uid]}")
-        line_of[uid] = lineno
-        try:
-            dur = float(parts[2])
-        except ValueError:
-            raise ValueError(f"line {lineno}: duration {parts[2]!r} is not a number") from None
-        try:
-            spans = _parse_spans(parts[3]) if len(parts) == 4 else ()
-        except ValueError:
-            raise ValueError(
-                f"line {lineno}: span field {parts[3]!r} is not start:end:phrase[;...]"
-            ) from None
-        utt = Utterance(uid=uid, tokens=vocab.encode(text), duration_seconds=dur, spans=spans)
-        if biasing_list is not None:
-            validate_spans(utt, biasing_list)
-        utterances.append(utt)
-    return utterances
 
 
 def save_utterances(utterances, vocab: Vocabulary, path) -> None:

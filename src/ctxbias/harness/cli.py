@@ -135,6 +135,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_report(args) -> int:
     records = read_cells(args.runs)
     outdir = Path(args.outdir) if args.outdir else Path(args.runs)
+    outdir.mkdir(parents=True, exist_ok=True)
     table = write_table(records, outdir)
     write_rtf_csv(records, outdir)
     print(table.read_text(encoding="utf-8"), end="")

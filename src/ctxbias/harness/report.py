@@ -153,15 +153,20 @@ def emit_report(results: dict, outdir) -> list[Path]:
     return written
 
 
-# what the table and the CSV read from a cell record: its keys, and theirs
-_CELL_KEYS = {"method": (), "list_length": (), "metrics": ("cer", "recall", "precision", "f1"),
-              "timing": ("rtf", "decode_seconds", "audio_seconds")}
+# what the table and the CSV read from a cell record: each key (a nested one
+# as "outer.inner") and what it must hold; a bool is never a number here
+_KINDS = {"a string": (str,), "an integer": (int,), "a number": (int, float)}
+_CELL_KEYS = {"method": "a string", "list_length": "an integer",
+              **dict.fromkeys(("metrics.cer", "metrics.recall", "metrics.precision",
+                               "metrics.f1", "timing.rtf", "timing.decode_seconds",
+                               "timing.audio_seconds"), "a number")}
 
 
 def read_cells(rundir) -> list[dict]:
     """Load cell JSONs back, e.g. to rebuild the table without rerunning.
-    A file that is not JSON, not an object, or lacks a key the table reads
-    raises ``ValueError`` naming the file (and the key)."""
+    A file that is not JSON, not an object, lacks a key the table reads or
+    holds a value of the wrong type there raises ``ValueError`` naming the
+    file (and the key)."""
     paths = sorted(Path(rundir).glob("cell_*.json"))
     if not paths:
         raise ValueError(f"no cell files under {rundir}")
@@ -174,11 +179,13 @@ def read_cells(rundir) -> list[dict]:
         if not isinstance(record, dict):
             raise ValueError(f"cell file {path} holds a JSON {type(record).__name__}, "
                              f"not an object")
-        for key, inner in _CELL_KEYS.items():
-            if key not in record:
-                raise ValueError(f"cell file {path} has no key '{key}'")
-            for sub in inner:
-                if not isinstance(record[key], dict) or sub not in record[key]:
-                    raise ValueError(f"cell file {path} has no key '{key}.{sub}'")
+        for key, kind in _CELL_KEYS.items():
+            value, parts = record, key.split(".")
+            for depth, part in enumerate(parts, start=1):
+                if not isinstance(value, dict) or part not in value:
+                    raise ValueError(f"cell file {path} has no key '{'.'.join(parts[:depth])}'")
+                value = value[part]
+            if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
+                raise ValueError(f"cell file {path}: key '{key}' holds {value!r}, not {kind}")
         records.append(record)
     return records

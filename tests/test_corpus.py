@@ -29,14 +29,19 @@ def test_vocab_confusable_partners_never_self():
     assert v.confusable[0] == 0 and v.confusable[1] == 1
 
 
-def test_encode_round_trip_and_unknown_warning():
+def test_encode_round_trip_and_unknown_character_error():
     v = _vocab()
     text = v.tokens[2] + v.tokens[3] + v.tokens[4]
     ids = v.encode(text)
     assert v.decode(ids) == text
-    with pytest.warns(corpus.UnknownTokenWarning):
-        ids = v.encode("Z")
-    assert ids == (v.unknown_index,)
+    assert v.encode("") == ()
+    # a character outside the vocabulary is named with its position, never
+    # mapped to the reserved unknown entry
+    for bad, named in (("Z", "'Z' at position 0"),
+                       (text + "Z" + text + "Y", "'Z' at position 3"),
+                       (text + "<unk>", "'<' at position 3")):
+        with pytest.raises(ValueError, match=named):
+            v.encode(bad)
 
 
 def test_biasing_list_shape_rules():
@@ -203,72 +208,6 @@ def test_validate_spans_against_list():
     bad = corpus.Utterance("bad", (4, 2, 4, 5), 1.0, (corpus.Span(1, 3, 1),))
     with pytest.raises(ValueError, match="bad"):
         corpus.validate_spans(bad, bl)
-
-
-def test_biasing_list_file_round_trip(tmp_path):
-    v = _vocab()
-    bl = corpus.make_biasing_list([(2, 3), (4, 5, 6)], v)
-    path = tmp_path / "list.txt"
-    corpus.save_biasing_list(bl, v, path)
-    loaded = corpus.load_biasing_list(path, v)
-    assert loaded == bl
-
-
-def test_load_biasing_list_rejects_bad_files(tmp_path):
-    v = _vocab()
-    empty = tmp_path / "empty.txt"
-    empty.write_text("\n\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="empty biasing list"):
-        corpus.load_biasing_list(empty, v)
-
-    dup = tmp_path / "dup.txt"
-    line = v.tokens[2] + v.tokens[3]
-    dup.write_text(f"{line}\n{line}\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="duplicate"):
-        corpus.load_biasing_list(dup, v)
-
-
-def test_load_utterances_rejects_bad_rows(tmp_path):
-    v = _vocab()
-    text = v.tokens[2] + v.tokens[3] + v.tokens[4]
-    path = tmp_path / "utts.tsv"
-    bad_rows = {
-        # a repeated id would score one text against another's reference
-        f"u1\t{text}\t0.75\n\nu2\t{text}\t0.75\nu1\t{text}\t0.5\n":
-            r"line 4: utterance id 'u1' repeats line 1",
-        f"u1\t{text}\t0.75\nu2\t{text}\tx\n": r"line 2: duration 'x' is not a number",
-        f"u1\t{text}\t0.75\t0:2\n": r"line 1: span field '0:2' is not",
-        f"u1\t{text}\t0.75\t0:3:1;x:2:1\n": r"line 1: span field '0:3:1;x:2:1' is not",
-        f"u1\t{text}\t0.75\t0:3:1:4\n": r"line 1: span field",
-    }
-    for rows, message in bad_rows.items():
-        path.write_text(rows, encoding="utf-8")
-        with pytest.raises(ValueError, match=message):
-            corpus.load_utterances(path, v)
-    path.write_text(f"u1\t{text}\t0.75\t0:3:1\nu2\t{text}\t0.5\n", encoding="utf-8")
-    assert [u.uid for u in corpus.load_utterances(path, v)] == ["u1", "u2"]
-
-
-def test_utterance_file_round_trip(tmp_path):
-    v = _vocab()
-    bl = corpus.make_biasing_list([(2, 3)], v)
-    utts = [
-        corpus.Utterance("a", (4, 2, 3), 0.75, (corpus.Span(1, 3, 1),)),
-        corpus.Utterance("b", (5, 6), 0.5),
-    ]
-    path = tmp_path / "utts.tsv"
-    corpus.save_utterances(utts, v, path)
-    loaded = corpus.load_utterances(path, v, biasing_list=bl)
-    assert loaded == utts
-
-    # span text mismatch is caught on load when the list is supplied
-    rows = path.read_text(encoding="utf-8").splitlines()
-    rows[0] = rows[0].replace("1:3:1", "0:2:1")
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="a"):
-        corpus.load_utterances(path, v, biasing_list=bl)
-    loaded = corpus.load_utterances(path, v)  # without the list it still parses
-    assert loaded[0].spans[0].start == 0
 
 
 def test_kept_scan_equals_the_scan_of_the_sublist():

@@ -638,18 +638,43 @@ def test_read_cells_round_trip(tmp_path):
     with pytest.raises(ValueError):
         report.read_cells(tmp_path / "empty")
     # a broken cell file is named, with what is wrong in it
-    record = report.cell_record(results[("joint", 51, 0)])
-    del record["metrics"]["f1"]
+    good = report.cell_record(results[("joint", 51, 0)])
+
+    def edited(key, value):
+        record = json.loads(json.dumps(good))
+        outer, _, inner = key.partition(".")
+        if inner:
+            record[outer][inner] = value
+        else:
+            record[outer] = value
+        return json.dumps(record)
+
+    no_f1 = json.loads(json.dumps(good))
+    del no_f1["metrics"]["f1"]
     for text, named in ((json.dumps({"method": "joint", "list_length": 51}), "key 'metrics'"),
-                        (json.dumps(record), "'metrics.f1'"),
+                        (json.dumps(no_f1), "'metrics.f1'"),
+                        (edited("metrics", [0.1]), "no key 'metrics.cer'"),
                         ("{not json", "is not JSON"),
-                        ("[1, 2]", "holds a JSON list")):
+                        ("[1, 2]", "holds a JSON list"),
+                        # a value of the wrong type is named with its key
+                        (edited("method", 7), "key 'method' holds 7, not a string"),
+                        (edited("list_length", "51"), "key 'list_length' holds '51', not an"),
+                        (edited("list_length", 51.0), "key 'list_length' holds 51.0, not an"),
+                        (edited("list_length", True), "key 'list_length' holds True, not an"),
+                        (edited("metrics.cer", "x"), "key 'metrics.cer' holds 'x', not a number"),
+                        (edited("metrics.f1", None), "key 'metrics.f1' holds None, not a number"),
+                        (edited("metrics.recall", False), "key 'metrics.recall' holds False"),
+                        (edited("timing.rtf", [0.01]), r"key 'timing.rtf' holds \[0.01\]"),
+                        (edited("timing.audio_seconds", {}), "key 'timing.audio_seconds'")):
         broken = tmp_path / "broken"
         broken.mkdir(exist_ok=True)
         (broken / "cell_x.json").write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=named) as caught:
             report.read_cells(broken)
         assert "cell_x.json" in str(caught.value)
+    # ints count as numbers, and the record comes back as it was written
+    (broken / "cell_x.json").write_text(edited("timing.decode_seconds", 1), encoding="utf-8")
+    assert report.read_cells(broken)[0]["timing"]["decode_seconds"] == 1
 
 
 # ------------------------------------------------------------------- cli
@@ -665,6 +690,13 @@ def test_cli_sweep_then_report(tmp_path, capsys):
     assert (tmp_path / "runs" / "report.txt").exists()
     assert cli.main(["report", "--runs", str(tmp_path / "runs")]) == 0
     assert "M=51" in capsys.readouterr().out
+    # a fresh --outdir is made, parents too
+    fresh = tmp_path / "fresh" / "sub"
+    assert cli.main(["report", "--runs", str(tmp_path / "runs"), "--outdir", str(fresh)]) == 0
+    assert "M=51" in capsys.readouterr().out
+    assert (fresh / "report.txt").read_text(encoding="utf-8") == (
+        tmp_path / "runs" / "report.txt").read_text(encoding="utf-8")
+    assert (fresh / "rtf.csv").exists()
 
 
 def test_cli_gen_and_decode(tmp_path, capsys):
@@ -675,8 +707,19 @@ def test_cli_gen_and_decode(tmp_path, capsys):
     assert cli.main(["gen", "--config", str(ini)]) == 0
     gen_out = json.loads(capsys.readouterr().out)
     assert gen_out["n_utterances"] == 6
-    assert (tmp_path / "runs" / "corpus" / "utterances.tsv").exists()
-    assert (tmp_path / "runs" / "corpus" / "list_M51.txt").exists()
+    # gen's files are an export for people to read: the real phrases one per
+    # line, in list order, and one row per utterance with its spans
+    corp = corpusgen.generate_corpus(cfg)
+    vocab, written = corp.vocabulary, tmp_path / "runs" / "corpus"
+    assert (written / "list_M51.txt").read_text(encoding="utf-8").splitlines() == [
+        vocab.decode(phrase) for phrase in corp.lists[51].phrases[1:]]
+    rows = []
+    for u in corp.utterances:
+        spans = ";".join(f"{s.start}:{s.end}:{s.phrase}" for s in u.spans)
+        rows.append("\t".join([u.uid, vocab.decode(u.tokens), str(u.duration_seconds)]
+                              + ([spans] if spans else [])))
+    assert any(u.spans for u in corp.utterances) and not all(u.spans for u in corp.utterances)
+    assert (written / "utterances.tsv").read_text(encoding="utf-8").splitlines() == rows
 
     dump = tmp_path / "dump.npz"
     code = cli.main(
@@ -688,7 +731,6 @@ def test_cli_gen_and_decode(tmp_path, capsys):
     arrays = np.load(dump)
 
     # the same decode, run directly
-    corp = corpusgen.generate_corpus(cfg)
     utt = next(u for u in corp.utterances if u.uid == "utt0003")
     biasing_list = corp.lists[51]
     phi = corpus_mod.build_phi(biasing_list, corp.vocabulary)
