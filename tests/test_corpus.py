@@ -210,6 +210,33 @@ def test_validate_spans_against_list():
         corpus.validate_spans(bad, bl)
 
 
+def test_save_biasing_list_writes_one_decoded_phrase_per_line(tmp_path):
+    v = _vocab()
+    bl = corpus.make_biasing_list([(2, 3), (4, 5, 6), (7, 2)], v)
+    path = tmp_path / "list.txt"
+    corpus.save_biasing_list(bl, v, path)
+    # the no-bias entry is implicit: only the real phrases, in list order
+    want = [v.tokens[2] + v.tokens[3], v.tokens[4] + v.tokens[5] + v.tokens[6],
+            v.tokens[7] + v.tokens[2]]
+    assert path.read_text(encoding="utf-8") == "\n".join(want) + "\n"
+
+
+def test_save_utterances_writes_one_row_per_utterance(tmp_path):
+    v = _vocab()
+    utts = [
+        corpus.Utterance("a", (4, 2, 3, 5, 6), 0.75,
+                         (corpus.Span(1, 3, 1), corpus.Span(3, 5, 2))),
+        corpus.Utterance("b", (5, 6), 0.5),
+    ]
+    path = tmp_path / "utts.tsv"
+    corpus.save_utterances(utts, v, path)
+    # uid, text and duration, then the spans as start:end:phrase joined by ';'
+    # only where there are any
+    assert path.read_text(encoding="utf-8") == (
+        f"a\t{v.decode((4, 2, 3, 5, 6))}\t0.75\t1:3:1;3:5:2\n"
+        f"b\t{v.decode((5, 6))}\t0.5\n")
+
+
 def test_kept_scan_equals_the_scan_of_the_sublist():
     """A scan restricted to the kept phrases of the full list's table finds
     what the sublist's own scan finds, with original indices: a longer

@@ -699,6 +699,31 @@ def test_cli_sweep_then_report(tmp_path, capsys):
     assert (fresh / "rtf.csv").exists()
 
 
+@pytest.mark.parametrize("key, value, named", [
+    ("metrics.cer", "x", "key 'metrics.cer' holds 'x', not a number"),
+    ("list_length", None, "no key 'list_length'"),
+], ids=["mistyped", "missing"])
+def test_cli_report_names_the_broken_cell_file_and_key(tmp_path, capsys, key, value, named):
+    runs = tmp_path / "runs"
+    report.write_cells({("joint", 51, 0): _fake_cell("joint", 51, 0, 0.02, 0.9, 0.01)}, runs)
+    (cell,) = runs.glob("cell_*.json")
+    record = json.loads(cell.read_text(encoding="utf-8"))
+    outer, _, inner = key.partition(".")
+    target = record[outer] if inner else record
+    if value is None:
+        del target[inner or outer]
+    else:
+        target[inner or outer] = value
+    cell.write_text(json.dumps(record), encoding="utf-8")
+    fresh = tmp_path / "fresh"
+    assert cli.main(["report", "--runs", str(runs), "--outdir", str(fresh)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert cell.name in err["message"] and named in err["message"], err
+    # nothing is written for a run that cannot be read
+    assert not fresh.exists()
+
+
 def test_cli_gen_and_decode(tmp_path, capsys):
     cfg = _small_config(n_utterances=6, outdir=str(tmp_path / "runs"),
                         confusion_rate=0.3, score_jitter_sigma=0.1)
