@@ -21,7 +21,7 @@ def toy_walkthrough() -> None:
           f"(unknown={vocab.unknown_index}, no-bias={vocab.no_bias_index})")
     # each real token has a distinct confusable partner
     for ch in "abc":
-        i = vocab.index(ch)
+        (i,) = vocab.encode(ch)
         print(f"  token {ch!r} -> partner {vocab.tokens[vocab.confusable[i]]!r}")
 
     words = ["cab", "dig", "hop", "fade"]

@@ -54,9 +54,6 @@ class Vocabulary:
     def _index(self) -> dict[str, int]:
         return {t: i for i, t in enumerate(self.tokens)}
 
-    def index(self, token: str) -> int:
-        return self._index[token]
-
     def encode(self, text: str) -> tuple[int, ...]:
         """Map characters to ids; a character outside the vocabulary raises
         ``ValueError`` naming it and its position."""
@@ -311,23 +308,24 @@ class PhiMask:
         containing phrases then touch only the nonzeros
         (``np.maximum.reduceat(x[:, phrases], starts, axis=1)``).
         """
-        # one flat nonzero over the transposed copy is far cheaper than a 2-d
-        # np.nonzero; its flat positions are token * M + phrase, ascending
-        return _group_by_token(self.matrix.T.ravel().nonzero()[0], self.matrix.shape[0])
+        return self._kept_by_token(np.arange(self.matrix.shape[0]))
 
     @cached_property
     def _by_phrase(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The nonzeros grouped by phrase, as (starts, sizes, tokens): phrase
-        m contains ``tokens[starts[m]:starts[m] + sizes[m]]``, ascending."""
+        m contains ``tokens[starts[m]:starts[m] + sizes[m]]``, ascending, and
+        ``sizes`` is read-only. The mask's one extraction of its nonzeros."""
         m, v = self.matrix.shape
         rows, tokens = np.divmod(self.matrix.ravel().nonzero()[0], v)
         starts = np.searchsorted(rows, np.arange(m))
-        return starts, np.diff(starts, append=rows.size), tokens
+        sizes = np.diff(starts, append=rows.size)
+        sizes.flags.writeable = False
+        return starts, sizes, tokens
 
     def _kept_by_token(self, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``by_token`` of the kept rows, ``restrict_phi(self, kept).by_token``,
-        gathered from this mask's cached nonzeros instead of copying the rows
-        and indexing them from scratch; ``kept`` holds ``KeptSet`` indices."""
+        gathered from ``_by_phrase`` instead of copying the rows and indexing
+        them from scratch; ``kept`` holds ``KeptSet`` indices."""
         starts, sizes, tokens = self._by_phrase
         sizes = sizes[kept]
         ends = sizes.cumsum()
@@ -338,7 +336,12 @@ class PhiMask:
         key = tokens[pos] * kept.size
         key += np.arange(kept.size).repeat(sizes)
         key.sort()
-        return _group_by_token(key, kept.size)
+        token_of, phrases = np.divmod(key, kept.size)
+        first = np.empty(token_of.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(token_of[1:], token_of[:-1], out=first[1:])
+        heads = first.nonzero()[0]
+        return token_of[heads], heads, phrases
 
     @cached_property
     def dense(self) -> np.ndarray:
@@ -347,23 +350,10 @@ class PhiMask:
         dense.flags.writeable = False
         return dense
 
-    @cached_property
+    @property
     def row_sizes(self) -> np.ndarray:
         """The number of distinct tokens in each phrase, read-only."""
-        sizes = self.matrix.sum(axis=1)
-        sizes.flags.writeable = False
-        return sizes
-
-
-def _group_by_token(flat: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``PhiMask.by_token`` from the ascending flat positions token * rows +
-    row of a mask's nonzeros."""
-    token_of, phrases = np.divmod(flat, rows)
-    first = np.empty(token_of.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(token_of[1:], token_of[:-1], out=first[1:])
-    starts = first.nonzero()[0]
-    return token_of[starts], starts, phrases
+        return self._by_phrase[1]
 
 
 def scan_occurrences(tokens, biasing_list: BiasingList, kept=None) -> tuple[tuple[int, int], ...]:

@@ -230,6 +230,9 @@ def run_sweep(
         raise ValueError(f"workers must be at least 1, got {workers}")
     if corpus is None:
         corpus = generate_corpus(config)
+    missing = sorted(set(config.list_lengths) - set(corpus.lists))
+    if missing:
+        raise ValueError(f"the corpus lacks swept length {missing}; it has {sorted(corpus.lists)}")
     lists = {m: corpus.lists[m] for m in config.list_lengths}
     longest = max(lists.values(), key=lambda bl: bl.size)
     for m, biasing_list in lists.items():

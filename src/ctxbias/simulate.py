@@ -170,6 +170,9 @@ class SyntheticScorer:
         self.vocab = vocab
         self.spec = spec
         self.phi = phi if phi is not None else build_phi(biasing_list, vocab)
+        if self.phi.matrix.shape != (biasing_list.size, vocab.size):
+            raise ValueError(f"phi has shape {self.phi.matrix.shape}, expected (list size, "
+                             f"vocabulary size) {(biasing_list.size, vocab.size)}")
         self._u = u = utt.n_steps
         self._m = biasing_list.size
         span_mask = _span_mask(utt)
@@ -340,14 +343,8 @@ class SyntheticScorer:
 
     def q_list_for(self, members) -> np.ndarray:
         """List correlation against the sublist given by original indices:
-        ``q_list_groups`` with every member in one group, its largest
-        evidence rank per step taken in one column max."""
-        members = np.asarray(members, dtype=np.intp)
-        if members.size == 0:
-            raise ValueError("need a nonempty member list")
-        slot = self._ev_slot[members]
-        rank = np.maximum.reduce(self._ev_rank[:, slot[slot >= 0]], axis=1, initial=0)
-        return self._list_table[rank, self._steps]
+        ``q_list_groups`` with every member in one group."""
+        return self.q_list_groups(members, np.size(members) or 1)[0]
 
     def q_phr_for(self, members) -> np.ndarray:
         # take copies in C order; fancy column indexing would return an

@@ -54,13 +54,6 @@ def estimate_phrase_length(q_slist) -> int:
     return max(1, min(q.shape[0], length))
 
 
-def _box_sums(q: np.ndarray, length: int) -> np.ndarray:
-    """Sums of every full window of the given length; index = window start."""
-    zero = np.zeros((1,) + q.shape[1:], dtype=float)
-    c = np.concatenate((zero, np.cumsum(q, axis=0)))
-    return c[length:] - c[:-length]
-
-
 def locate_window(q_list, length: int, u: int) -> int:
     """Best window start near step u: the start j within distance length-1
     of u whose length-window sum of the raw list correlation is largest.
@@ -69,7 +62,9 @@ def locate_window(q_list, length: int, u: int) -> int:
     n = q.shape[0]
     if not (1 <= length <= n):
         raise ValueError("window length outside [1, U]")
-    sums = _box_sums(q, length)
+    # every full window's sum, by start, from prefix sums with a leading 0
+    c = np.concatenate(([0.0], np.cumsum(q)))
+    sums = c[length:] - c[:-length]
     lo = max(0, u - length + 1)
     hi = min(n - length, u + length - 1)
     window = sums[lo : hi + 1]
@@ -109,7 +104,7 @@ def _pool_windows(q_phr, q_list, q_slist):
     # u-length+1 .. u+length-1, which is row u of a sliding window over the
     # box sums padded with length-1 (left) and 2*length-2 (right) entries of
     # -inf that never win; argmax keeps the first, i.e. smallest, start. The
-    # box sums are _box_sums(q, length), from prefix sums with a leading 0
+    # box sums are locate_window's, from prefix sums with a leading 0
     prefix = np.empty(n + 1)
     prefix[0] = 0.0
     q.cumsum(out=prefix[1:])
@@ -122,7 +117,7 @@ def _pool_windows(q_phr, q_list, q_slist):
     starts = windows.argmax(axis=1)
     starts += np.arange(1 - length, n + 1 - length)
     if m < _ROW_ADD_WIDTH:
-        # _box_sums(q_phr, length) at every step's start, from prefix sums
+        # the window column sums at every step's start, from prefix sums
         # with a leading zero row
         c = np.empty((n + 1, m))
         c[0] = 0.0

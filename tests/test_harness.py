@@ -533,6 +533,13 @@ def test_sweep_rejects_lists_that_do_not_nest():
         runner.run_sweep(cfg, corpus=bad)
 
 
+def test_sweep_rejects_a_corpus_without_a_swept_length():
+    corp = corpusgen.generate_corpus(_small_config(n_utterances=4, list_lengths=(51, 201)))
+    cfg = _small_config(n_utterances=4, list_lengths=(51, 300), methods=("joint",))
+    with pytest.raises(ValueError, match=r"lacks swept length \[300\]; it has \[51, 201\]"):
+        runner.run_sweep(cfg, corpus=corp)
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_sweep_rejects_workers_below_one(workers):
     cfg = _small_config(n_utterances=4)

@@ -278,6 +278,42 @@ def test_q_list_groups_rows_equal_q_list_for():
         scorer.q_list_for([])
 
 
+def test_q_list_for_equals_the_slow_form_on_whole_member_lists():
+    """``q_list_for`` against the parent build's list noise applied to the
+    dense evidence's column max, on whole member lists: the full list, a
+    prefix, and the kept sets gcp chooses, as arrays and as lists."""
+    from ctxbias import purify
+    config = ExperimentConfig(
+        n_utterances=20, two_span_rate=0.5, label_flip_rate=0.1, score_jitter_sigma=0.4,
+        confusion_rate=0.3, distractor_boost=0.5,
+    )
+    corp = generate_corpus(config)
+    bl = corp.lists[1196]
+    phi = corpus.build_phi(bl, corp.vocabulary)
+    purified = 0
+    for utt in corp.utterances:
+        scorer = simulate.SyntheticScorer(utt, bl, corp.vocabulary, config.noise_for(1), phi)
+        parent = parent_build.SyntheticScorer(utt, bl, corp.vocabulary, config.noise_for(1), phi)
+        kept = purify.gcp(bl, scorer, config.purify_for(1)).kept.indices
+        purified += kept.size < bl.size
+        for members in (np.arange(bl.size), np.arange(201), kept, kept.tolist(), kept[1:]):
+            slow = parent._apply_list_noise(parent._ev_list[:, members].max(axis=1))
+            assert scorer.q_list_for(members).tobytes() == slow.tobytes(), utt.uid
+    assert purified > 0
+
+
+def test_scorer_rejects_a_mask_of_another_shape():
+    config = ExperimentConfig(n_utterances=4, distractor_boost=0.5)
+    corp = generate_corpus(config)
+    utt, vocab = corp.utterances[0], corp.vocabulary
+    short = corpus.build_phi(corp.lists[51], vocab)
+    with pytest.raises(ValueError, match=r"\(51, %d\).*\(1196, %d\)" % (vocab.size, vocab.size)):
+        simulate.SyntheticScorer(utt, corp.lists[1196], vocab, config.noise_for(0), short)
+    narrow = corpus.PhiMask(matrix=short.matrix[:, :-1].copy())
+    with pytest.raises(ValueError, match=r"\(51, %d\).*\(51, %d\)" % (vocab.size - 1, vocab.size)):
+        simulate.SyntheticScorer(utt, corp.lists[51], vocab, config.noise_for(0), narrow)
+
+
 def test_bundle_file_round_trip(tmp_path):
     v, bl, utt = _setup(spans=((2, 4, 1),))
     spec = simulate.NoiseSpec(seed=1, score_jitter_sigma=0.1)

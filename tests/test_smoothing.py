@@ -74,7 +74,7 @@ def test_guided_smooth_windows_match_locate_window():
             want = np.tanh(np.array([q_phr[j : j + length].sum(axis=0) for j in starts]))
             got = smoothing.guided_phrase_smooth(q_phr, q_list, q_slist)
             assert np.allclose(got, want, rtol=0, atol=1e-12)
-            assert np.array_equal(got, np.tanh(smoothing._box_sums(q_phr, length)[starts]))
+            assert np.array_equal(got, np.tanh(parent_decode._box_sums(q_phr, length)[starts]))
 
 
 def test_guided_smooth_window_one_is_tanh():
