@@ -74,7 +74,7 @@ def main() -> None:
     full = decode_utterance(bundle, blist, phi, SmoothingParams())
     t_full = time.perf_counter() - t0
 
-    # the purified decode reads the full list's scan table and the full
+    # the purified decode reads the full list's prefix tree and the full
     # mask's nonzeros through the kept set purification returns
     t0 = time.perf_counter()
     pres = gcp(blist, scorer, params)

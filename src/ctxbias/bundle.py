@@ -109,8 +109,15 @@ def save_bundle(bundle: CorrelationBundle, path) -> None:
 
 
 def load_bundle(path) -> CorrelationBundle:
-    """Load a bundle saved by save_bundle (or produced by a real model)."""
-    with np.load(Path(path)) as data:
+    """Load a bundle saved by save_bundle (or produced by a real model). A
+    file that is not an ``.npz`` (zip) archive raises ``ValueError`` naming
+    the path."""
+    path = Path(path)
+    with open(path, "rb") as f:
+        # the two zip signatures np.load itself takes an archive by
+        if f.read(4) not in (b"PK\x03\x04", b"PK\x05\x06"):
+            raise ValueError(f"{path} is not an .npz archive")
+    with np.load(path) as data:
         missing = {"q_list", "q_phr", "q_tok", "p_bb"} - set(data.files)
         if missing:
             raise ValueError(f"bundle file lacks arrays: {sorted(missing)}")

@@ -9,7 +9,6 @@ stands for "this step relates to no phrase".
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -22,6 +21,12 @@ NO_BIAS_TOKEN = "<nb>"
 
 MIN_PHRASE_LEN = 2
 MAX_PHRASE_LEN = 19
+
+
+class _END:
+    """The key a prefix-tree node holds its phrase index under: no token
+    equals it, and as a class it pickles by name, so a tree that a worker
+    process unpickles still holds its phrases."""
 
 
 @dataclass(frozen=True)
@@ -128,22 +133,16 @@ class BiasingList:
         return len(self.phrases)
 
     @cached_property
-    def _scan_index(self) -> tuple[tuple[int, ...], frozenset[int], dict[tuple[int, ...], int]]:
-        """The distinct real-phrase lengths, longest first, the tokens a real
-        phrase starts with, and the real phrases keyed by token tuple; tuples
-        of different lengths never compare equal, so one table serves every
-        length."""
-        real = self.phrases[1:]
-        lengths = tuple(sorted(set(map(len, real)), reverse=True))
-        firsts = frozenset(map(operator.itemgetter(0), real))
-        return lengths, firsts, dict(zip(real, range(1, self.size)))
-
-    @cached_property
-    def _heads(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every entry's length and first token, as two intp arrays."""
-        return (np.fromiter(map(len, self.phrases), dtype=np.intp, count=self.size),
-                np.fromiter(map(operator.itemgetter(0), self.phrases), dtype=np.intp,
-                            count=self.size))
+    def _trie(self) -> dict:
+        """The real phrases as a prefix tree of nested dicts keyed by token
+        id; the node a phrase ends at holds its index under ``_END``."""
+        root: dict = {}
+        for m in range(1, self.size):
+            node = root
+            for token in self.phrases[m]:
+                node = node.setdefault(token, {})
+            node[_END] = m
+        return root
 
     def real_indices(self) -> np.ndarray:
         return np.arange(1, self.size)
@@ -218,20 +217,6 @@ class KeptSet:
             return NotImplemented
         return self.members.size == other.members.size and np.array_equal(
             self.indices, other.indices)
-
-    def _scan_heads(self, biasing_list: BiasingList) -> tuple[list[int], set[int]]:
-        """The kept real phrases' distinct lengths, longest first, and their
-        first tokens: what ``scan_occurrences`` needs beyond the list's own
-        table. Worked out once per list; a purified decode scans twice."""
-        cached = self.__dict__.get("_heads")
-        if cached is None or cached[0] is not biasing_list:
-            phrase_lengths, phrase_firsts = biasing_list._heads
-            real = self.indices[1:]
-            cached = (biasing_list,
-                      np.bincount(phrase_lengths[real]).nonzero()[0][::-1].tolist(),
-                      set(phrase_firsts[real].tolist()))
-            self.__dict__["_heads"] = cached
-        return cached[1], cached[2]
 
 
 def make_biasing_list(token_seqs, vocab: Vocabulary) -> BiasingList:
@@ -364,29 +349,27 @@ def scan_occurrences(tokens, biasing_list: BiasingList, kept=None) -> tuple[tupl
 
     With ``kept`` (a ``KeptSet``, or indices for ``KeptSet.of``) only the kept
     phrases match: this is the scan of ``biasing_list.sublist(kept)``, with
-    original indices, read through the list's own cached table. The table
-    holds at most one phrase per length, so the longest kept match at a
-    position is the one the sublist's scan finds there.
+    original indices. The walk down the list's prefix tree from a position
+    passes every phrase that matches there, shortest first, so the last kept
+    one it passes is the longest kept match, the one the sublist's scan finds.
     """
     seq = tuple(tokens)
-    lengths, firsts, table = biasing_list._scan_index
-    members = None
-    if kept is not None:
-        kept = KeptSet.of(kept, biasing_list.size)
-        members = kept.members
-        lengths, firsts = kept._scan_heads(biasing_list)
+    root = biasing_list._trie
+    members = None if kept is None else KeptSet.of(kept, biasing_list.size).members
     found: list[tuple[int, int]] = []
     i, n = 0, len(seq)
     while i < n:
-        for length in lengths if seq[i] in firsts else ():
-            if i + length <= n:
-                m = table.get(seq[i : i + length])
-                if m is not None and (members is None or members[m]):
-                    found.append((i, m))
-                    i += length
-                    break
-        else:
+        node, j, match = root, i, None
+        while j < n and (node := node.get(seq[j])) is not None:
+            j += 1
+            m = node.get(_END)
+            if m is not None and (members is None or members[m]):
+                match, end = m, j
+        if match is None:
             i += 1
+        else:
+            found.append((i, match))
+            i = end
     return tuple(found)
 
 

@@ -1,7 +1,10 @@
+import pickle
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
-from ctxbias import corpus
+from ctxbias import corpus, purify, simulate
 from ctxbias.harness.config import ExperimentConfig
 from ctxbias.harness.corpusgen import generate_corpus
 
@@ -98,7 +101,7 @@ def test_sublist_rejects_bad_indices_and_equals_a_validated_list():
             phrases=tuple(bl.phrases[m] for m in kept), no_bias_token=bl.no_bias_token
         )
         assert sub == validated
-        assert sub._scan_index == validated._scan_index
+        assert sub._trie == validated._trie
     assert bl.sublist(np.array([0, 4, 2])) == bl.sublist((0, 4, 2))
     with pytest.raises(ValueError, match="first kept index is 4, not"):
         bl.sublist(np.array([4, 0]))
@@ -174,6 +177,73 @@ def _brute_force_scan(tokens, biasing_list):
     return tuple(found)
 
 
+# the generated corpus, with enough noise that purification drops phrases
+_GENERATED = ExperimentConfig(n_utterances=20, score_jitter_sigma=0.5, distractor_boost=0.5)
+
+
+def _hitting_seqs(bl, vocab, gen, n):
+    """``n`` token sequences built from ``bl``'s phrases joined by random
+    tokens: each phrase kept whole, cut short, with a token swapped for its
+    confusable partner, or with an id outside the vocabulary (-1 or
+    ``vocab.size``) put in."""
+    seqs = []
+    while len(seqs) < n:
+        seq = []
+        for _ in range(int(gen.integers(1, 5))):
+            seq += gen.integers(2, vocab.size, size=int(gen.integers(0, 3))).tolist()
+            phrase = list(bl.phrases[int(gen.integers(1, bl.size))])
+            k = int(gen.integers(len(phrase)))
+            kind = int(gen.integers(4))
+            if kind == 1:
+                phrase.pop()
+            elif kind == 2:
+                phrase[k] = vocab.confusable[phrase[k]]
+            elif kind == 3:
+                phrase.insert(k, (-1, vocab.size)[int(gen.integers(2))])
+            seq += phrase
+        seqs.append(seq)
+    return seqs
+
+
+@lru_cache(maxsize=None)
+def _generated_corpus():
+    return generate_corpus(_GENERATED)
+
+
+@lru_cache(maxsize=None)
+def _generated_lists():
+    """The generated corpus's lists at every swept length (phrases of 2..6
+    tokens that share prefixes, with confusable variants), and a list of
+    pool phrases each extended by further pool phrases up to the 19-token
+    limit, so that phrases end inside longer ones; each with 50 token
+    sequences: 10 references and 40 runs of its phrases."""
+    corp = _generated_corpus()
+    vocab, gen = corp.vocabulary, np.random.default_rng(13)
+    pool = corp.pool.phrases[1:]
+    nested = dict.fromkeys(pool[:100])
+    for phrase in pool[:100]:
+        while len(phrase) < corpus.MAX_PHRASE_LEN:
+            phrase = (phrase + pool[int(gen.integers(len(pool)))])[: corpus.MAX_PHRASE_LEN]
+            nested[phrase] = None
+    lists = (*corp.lists.values(), corpus.make_biasing_list(nested, vocab))
+    refs = [utt.tokens for utt in corp.utterances[:10]]
+    return tuple((bl, (*refs, *_hitting_seqs(bl, vocab, gen, 40))) for bl in lists)
+
+
+@lru_cache(maxsize=None)
+def _purified_kept_sets():
+    """The ``gcp`` and ``ocp`` kept sets of four utterances at M=1196."""
+    corp = _generated_corpus()
+    bl = corp.lists[1196]
+    phi = corpus.build_phi(bl, corp.vocabulary)
+    kept = []
+    for utt in corp.utterances[:4]:
+        scorer = simulate.SyntheticScorer(utt, bl, corp.vocabulary, _GENERATED.noise_for(0), phi)
+        for purifier in (purify.gcp, purify.ocp):
+            kept.append(purifier(bl, scorer, _GENERATED.purify_for(0)).kept)
+    return bl, tuple(kept)
+
+
 def test_scan_matches_brute_force_on_lists_and_sublists():
     v = _vocab(n_chars=6)
     gen = np.random.default_rng(11)
@@ -187,6 +257,23 @@ def test_scan_matches_brute_force_on_lists_and_sublists():
         for target in (bl, sub):
             hyp = gen.integers(2, v.size, size=int(gen.integers(0, 30))).tolist()
             assert corpus.scan_occurrences(hyp, target) == _brute_force_scan(hyp, target)
+    # the generated corpus's lists, and a random sublist of each
+    for bl, seqs in _generated_lists():
+        rest = gen.permutation(np.arange(1, bl.size))[: gen.integers(0, bl.size)]
+        for target in (bl, bl.sublist([0, *rest.tolist()])):
+            for hyp in seqs:
+                assert corpus.scan_occurrences(hyp, target) == _brute_force_scan(hyp, target)
+
+
+def test_a_pickled_list_scans_as_the_list_does():
+    """A worker process gets each list pickled, with its prefix tree when a
+    scan has built it: the tree's terminals must survive the round trip."""
+    for bl, seqs in _generated_lists():
+        corpus.scan_occurrences((), bl)  # builds the tree
+        copy = pickle.loads(pickle.dumps(bl))
+        assert "_trie" in vars(copy) and copy._trie == bl._trie
+        for hyp in seqs:
+            assert corpus.scan_occurrences(hyp, copy) == corpus.scan_occurrences(hyp, bl)
 
 
 def test_utterance_span_validation():
@@ -285,7 +372,23 @@ def test_kept_scan_matches_the_sublist_scan_on_random_lists():
             sub = corpus.scan_occurrences(hyp, bl.sublist(kept))
             want = tuple((i, kept[m]) for i, m in sub)
             assert corpus.scan_occurrences(hyp, bl, kept) == want
-
+    # a random kept set of each generated list, and what purification keeps
+    # at M=1196, over sequences that hit the full list and the kept phrases
+    vocab = _generated_corpus().vocabulary
+    cases = []
+    for bl, seqs in _generated_lists():
+        rest = gen.permutation(np.arange(1, bl.size))[: gen.integers(0, bl.size)]
+        cases.append((bl, [0, *rest.tolist()], seqs))
+    bl, purified = _purified_kept_sets()
+    assert all(ks.indices.size < bl.size for ks in purified)
+    seqs = next(seqs for full, seqs in _generated_lists() if full is bl)
+    cases += [(bl, ks.indices.tolist(), seqs) for ks in purified]
+    for bl, kept, seqs in cases:
+        sub_list = bl.sublist(kept)
+        for hyp in (*seqs, *_hitting_seqs(sub_list, vocab, gen, 25)):
+            want = tuple((i, kept[m]) for i, m in corpus.scan_occurrences(hyp, sub_list))
+            assert corpus.scan_occurrences(hyp, bl, kept) == want
+            assert corpus.scan_occurrences(hyp, bl, corpus.KeptSet.of(kept, bl.size)) == want
 
 def test_kept_set_is_checked_once_and_read_only():
     kept = np.array([0, 4, 2])

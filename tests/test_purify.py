@@ -421,7 +421,7 @@ def test_restriction_equals_its_from_scratch_builds():
         ):
             sub = bl.sublist(kept)
             validated = corpus.BiasingList(phrases=sub.phrases, no_bias_token=bl.no_bias_token)
-            assert sub._scan_index == validated._scan_index
+            assert sub._trie == validated._trie
             restricted = purify.restrict_phi(phi, kept)
             rebuilt = corpus.build_phi(validated, corp.vocabulary)
             assert np.array_equal(restricted.matrix, rebuilt.matrix)

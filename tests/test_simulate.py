@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -325,6 +326,21 @@ def test_bundle_file_round_trip(tmp_path):
         for name in ("q_list", "q_phr", "q_tok", "p_bb"):
             assert np.array_equal(getattr(bundle, name), getattr(loaded, name))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle", "bundle.npz", "plain"]
+
+
+def test_load_bundle_rejects_files_that_are_not_npz_archives(tmp_path):
+    """A lone array, a text file or an empty file fails with a ValueError
+    that names the path, not with numpy's errors about a context manager
+    or pickled data."""
+    v, bl, utt = _setup(spans=((2, 4, 1),))
+    bundle = simulate.SyntheticScorer(utt, bl, v, simulate.NoiseSpec(seed=1)).bundle()
+    np.save(tmp_path / "q_phr.npy", bundle.q_phr)
+    (tmp_path / "bundle.txt").write_text("q_list q_phr q_tok p_bb\n", encoding="utf-8")
+    (tmp_path / "empty.npz").write_bytes(b"")
+    for name in ("q_phr.npy", "bundle.txt", "empty.npz"):
+        path = tmp_path / name
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))} is not an .npz archive"):
+            load_bundle(path)
 
 
 def test_noise_spec_validation():
