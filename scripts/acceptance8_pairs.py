@@ -19,6 +19,7 @@ and the median M=51 -> M=201 gap of the joint totals.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import re
 import statistics
@@ -99,6 +100,27 @@ def _git(repo: Path, *args: str) -> str:
                           text=True).stdout.strip()
 
 
+@contextlib.contextmanager
+def worktrees(revisions: dict[str, str], prefix: str):
+    """Check each named revision of the repository the working directory is
+    in out into its own temporary git worktree. Yields ``{name: (commit,
+    path)}``; the worktrees are removed on exit."""
+    repo = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel"))
+    commits = {name: _git(repo, "rev-parse", "--verify", rev + "^{commit}")
+               for name, rev in revisions.items()}
+    with tempfile.TemporaryDirectory(prefix=prefix) as tmp:
+        trees = {name: Path(tmp) / name for name in revisions}
+        try:
+            for name, commit in commits.items():
+                _git(repo, "worktree", "add", "--detach", str(trees[name]), commit)
+            yield {name: (commits[name], trees[name]) for name in revisions}
+        finally:
+            for tree in trees.values():
+                if tree.exists():
+                    _git(repo, "worktree", "remove", "--force", str(tree))
+            _git(repo, "worktree", "prune")
+
+
 def _tier1(tree: Path, one_thread: bool) -> str:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     if one_thread:
@@ -119,30 +141,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
-    repo = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel"))
-    sides = {"parent": _git(repo, "rev-parse", "--verify", args.parent + "^{commit}"),
-             "change": _git(repo, "rev-parse", "--verify", args.change + "^{commit}")}
-    results: dict[str, list[Acceptance8]] = {side: [] for side in sides}
-    with tempfile.TemporaryDirectory(prefix="acceptance8-") as tmp:
-        trees = {side: Path(tmp) / side for side in sides}
-        try:
-            for side, rev in sides.items():
-                _git(repo, "worktree", "add", "--detach", str(trees[side]), rev)
-            for i in range(args.runs):
-                for side in sides:
-                    run = parse_run(_tier1(trees[side], args.one_blas_thread))
-                    results[side].append(run)
-                    totals = "  ".join(f"M={m}: {s:.3f}" for m, s in sorted(run.joint.items()))
-                    print(f"run {i + 1} {side}: criterion 8 {run.outcome}; {totals}; purified "
-                          f"{run.purified}; tier-1 {run.passed} passed, {run.failed} failed",
-                          flush=True)
-        finally:
-            for tree in trees.values():
-                if tree.exists():
-                    _git(repo, "worktree", "remove", "--force", str(tree))
-            _git(repo, "worktree", "prune")
-    for side, rev in sides.items():
-        print(summarize(f"{side} {rev[:10]}", results[side]))
+    results: dict[str, list[Acceptance8]] = {"parent": [], "change": []}
+    with worktrees({"parent": args.parent, "change": args.change}, "acceptance8-") as sides:
+        for i in range(args.runs):
+            for side, (_, tree) in sides.items():
+                run = parse_run(_tier1(tree, args.one_blas_thread))
+                results[side].append(run)
+                totals = "  ".join(f"M={m}: {s:.3f}" for m, s in sorted(run.joint.items()))
+                print(f"run {i + 1} {side}: criterion 8 {run.outcome}; {totals}; purified "
+                      f"{run.purified}; tier-1 {run.passed} passed, {run.failed} failed",
+                      flush=True)
+    for side, (commit, _) in sides.items():
+        print(summarize(f"{side} {commit[:10]}", results[side]))
     return 0
 
 

@@ -340,6 +340,24 @@ class PhiMask:
         """The number of distinct tokens in each phrase, read-only."""
         return self._by_phrase[1]
 
+    def overlaps(self, phrase: int) -> tuple[np.ndarray, np.ndarray]:
+        """The real phrases other than ``phrase`` that share a token with it,
+        ascending, and for each the fraction of its distinct tokens that
+        occur in ``phrase``; both read-only, computed once per phrase."""
+        found = self._overlaps.get(phrase)
+        if found is None:
+            shared = self.matrix[:, self.matrix[phrase] > 0].sum(axis=1)
+            shared[0] = shared[phrase] = 0
+            cols = np.flatnonzero(shared)
+            frac = shared[cols] / self.row_sizes[cols]  # a sharer holds a token
+            cols.flags.writeable = frac.flags.writeable = False
+            found = self._overlaps[phrase] = cols, frac
+        return found
+
+    @cached_property
+    def _overlaps(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        return {}
+
 
 def scan_occurrences(tokens, biasing_list: BiasingList, kept=None) -> tuple[tuple[int, int], ...]:
     """Non-overlapping real-phrase occurrences in a token sequence.

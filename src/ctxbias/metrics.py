@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass
+from operator import ne
 
 from .corpus import BiasingList, scan_occurrences
 
@@ -44,17 +45,28 @@ def cer(hyp, ref) -> tuple[float, int, int, int]:
     if hyp == ref:
         return 0.0, 0, 0, 0  # what the DP and its backtrace give
     h, r = len(hyp), len(ref)
-    dist = [[0] * (r + 1) for _ in range(h + 1)]
-    for i in range(1, h + 1):
-        dist[i][0] = i
-    for j in range(1, r + 1):
-        dist[0][j] = j
+    # Substituting over the common length and then inserting or deleting the
+    # rest is an alignment, so w bounds the distance. A path through a cell
+    # more than w off the diagonal costs more than w, so no optimal path, and
+    # no backtrace equality, reaches one: the DP runs over the band of
+    # half-width w only, with cells outside it held above any distance.
+    w = sum(map(ne, hyp, ref)) + abs(h - r)
+    far = h + r + 1
+    dist = [[far] * (r + 1) for _ in range(h + 1)]
+    dist[0][: w + 1] = range(min(w, r) + 1)
     for i in range(1, h + 1):
         row, prev = dist[i], dist[i - 1]
+        if i <= w:
+            row[0] = i
         hi = hyp[i - 1]
-        for j in range(1, r + 1):
-            sub = prev[j - 1] + (hi != ref[j - 1])
-            row[j] = min(sub, prev[j] + 1, row[j - 1] + 1)
+        left = row[max(i - w, 1) - 1]
+        for j in range(max(i - w, 1), min(i + w, r) + 1):
+            d = prev[j - 1] + (hi != ref[j - 1])
+            if prev[j] < d:
+                d = prev[j] + 1
+            if left < d:
+                d = left + 1
+            row[j] = left = d
     s = ins = dele = 0
     i, j = h, r
     while i > 0 or j > 0:
@@ -73,7 +85,9 @@ def cer(hyp, ref) -> tuple[float, int, int, int]:
 def _prf_counts(hyp, ref, spans, biasing_list: BiasingList) -> tuple[int, int, int]:
     gold = Counter(s.phrase for s in spans)
     hyp_occ = Counter(m for _, m in scan_occurrences(hyp, biasing_list))
-    ref_occ = Counter(m for _, m in scan_occurrences(ref, biasing_list))
+    # an exact hypothesis scans as its reference does
+    same = tuple(hyp) == tuple(ref)
+    ref_occ = hyp_occ if same else Counter(m for _, m in scan_occurrences(ref, biasing_list))
     tp = sum(min(hyp_occ[m], c) for m, c in gold.items())
     fn = sum(gold.values()) - tp
     # list phrases surfacing in the hypothesis beyond their reference count

@@ -25,12 +25,12 @@ def expit(x: np.ndarray) -> np.ndarray:
     """Logistic sigmoid in float64, stable for large |x|.
 
     Both branches share e = exp(-|x|), which never overflows: 1 / (1 + e)
-    where x >= 0 and e / (1 + e) elsewhere. Both are computed over the whole
-    array and the first is copied in where x >= 0, which beats gathering and
-    scattering each branch through a boolean mask. -|x| is taken as
-    ``minimum(x, -x)``, which keeps a NaN as it is (sign bit included) and
-    is cheaper than a select on x >= 0; the sign of a zero does not reach
-    the result, as exp(-0) == exp(0).
+    where x >= 0 and e / (1 + e) elsewhere. So one division serves both:
+    the numerator e is set to 1 where x >= 0 once 1 + e is taken, which
+    beats gathering and scattering each branch through a boolean mask. -|x|
+    is taken as ``minimum(x, -x)``, which keeps a NaN as it is (sign bit
+    included) and is cheaper than a select on x >= 0; the sign of a zero
+    does not reach the result, as exp(-0) == exp(0).
     """
     x = np.asarray(x, dtype=np.float64)
     # fresh outputs throughout: a ufunc without one turns a 0-d array into a
@@ -39,9 +39,8 @@ def expit(x: np.ndarray) -> np.ndarray:
     np.minimum(x, e, out=e)
     np.exp(e, out=e)
     d = np.add(e, 1.0, out=np.empty_like(e))
+    np.copyto(e, 1.0, where=x >= 0)
     np.divide(e, d, out=e)
-    np.divide(1.0, d, out=d)
-    np.copyto(e, d, where=x >= 0)
     return e
 
 

@@ -52,9 +52,10 @@ def synth_embeddings(
         raise ValueError("embedding dimension must be at least 8")
     m = biasing_list.size
     u = utt.n_steps
-    e_phr = rng.normal_field(rng.stream_key(spec.seed, "ephr"), rng.grid_index(m, d))
+    e_phr = rng.normal_field(rng.stream_key(spec.seed, "ephr"), np.arange(m), np.arange(d))
     e_phr = _unit_rows(e_phr)
-    e_aco = rng.normal_field(rng.stream_key(spec.seed, "eaco", utt.uid), rng.grid_index(u, d))
+    e_aco = rng.normal_field(rng.stream_key(spec.seed, "eaco", utt.uid), np.arange(u),
+                             np.arange(d))
     e_aco = _unit_rows(e_aco)
     mix = min(1.0, spec.score_jitter_sigma) * rng.uniform_field(
         rng.stream_key(spec.seed, "emix", utt.uid), np.arange(u, dtype=np.uint64)

@@ -10,6 +10,12 @@ The field values are a bit-level contract: keys fold their parts through
 splitmix64 steps, a uniform is the top 53 bits of the splitmix64 finalizer
 of ``index * GOLDEN ^ key`` scaled by 2**-53, and a normal is Box-Muller
 over two uniform streams. Any rewrite must reproduce these bits exactly.
+
+A field over a grid, the cells (row, col) of ``rows x cols``, is the field
+over the indices ``row * 2**32 + col``. Since
+``(row * 2**32 + col) * GOLDEN == row * (2**32 * GOLDEN) + col * GOLDEN``
+modulo 2**64, the hashed grid is one outer sum of two short vectors, and the
+index grid itself is never built.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ _NORMAL_K2 = 0xC2B2AE3D27D4EB4F
 # the same constants as numpy scalars, made once: building a np.uint64 costs
 # about as much as a small ufunc call
 _GOLDEN_U64 = np.uint64(_GOLDEN)
+_GOLDEN_ROW_U64 = np.uint64((_GOLDEN << 32) & _MASK)  # a grid row's step
 _MIX1_U64 = np.uint64(_MIX1)
 _MIX2_U64 = np.uint64(_MIX2)
 _S11, _S27, _S30, _S31 = (np.uint64(n) for n in (11, 27, 30, 31))
@@ -83,12 +90,19 @@ def stream_key(*parts: int | str) -> np.uint64:
     return np.uint64(acc)
 
 
-def _golden_index(index, rows: int = 1) -> np.ndarray:
-    """A fresh uint64 buffer of shape ``(rows, *index.shape)`` whose first row
-    holds ``index * GOLDEN``; the others are left for the caller to fill."""
+def _golden_index(index, cols, rows: int = 1) -> np.ndarray:
+    """A fresh uint64 buffer of shape ``(rows, *shape)`` whose first row holds
+    ``index * GOLDEN``, the others left for the caller to fill. With ``cols``
+    the index is the grid ``index x cols`` (see the module docstring), of
+    shape ``(*index.shape, *cols.shape)``."""
     idx = np.asarray(index, dtype=np.uint64)
-    h = np.empty((rows, *idx.shape), np.uint64)
-    np.multiply(idx, _GOLDEN_U64, out=h[0, ...])
+    if cols is None:
+        h = np.empty((rows, *idx.shape), np.uint64)
+        np.multiply(idx, _GOLDEN_U64, out=h[0, ...])
+        return h
+    cols = np.asarray(cols, dtype=np.uint64)
+    h = np.empty((rows, *idx.shape, *cols.shape), np.uint64)
+    np.add.outer(idx * _GOLDEN_ROW_U64, cols * _GOLDEN_U64, out=h[0, ...])
     return h
 
 
@@ -102,22 +116,24 @@ def _to_uniform(h: np.ndarray) -> np.ndarray:
     return out
 
 
-def uniform_field(key: np.uint64, index: np.ndarray) -> np.ndarray:
-    """Uniform [0, 1) values addressed by integer index under a stream key."""
-    h = _golden_index(index)[0, ...]
+def uniform_field(key: np.uint64, index: np.ndarray, cols=None) -> np.ndarray:
+    """Uniform [0, 1) values addressed by integer index under a stream key;
+    with ``cols``, over the grid cells ``index x cols``."""
+    h = _golden_index(index, cols)[0, ...]
     h ^= np.uint64(key)
     # a 0-d index gives a scalar, as numpy's scalar arithmetic does
     return _to_uniform(h)[()]
 
 
-def normal_field(key: np.uint64, index: np.ndarray) -> np.ndarray:
-    """Standard normal values addressed by integer index (Box-Muller).
+def normal_field(key: np.uint64, index: np.ndarray, cols=None) -> np.ndarray:
+    """Standard normal values addressed by integer index (Box-Muller); with
+    ``cols``, over the grid cells ``index x cols``.
 
     The two uniform streams, keyed by ``key`` folded with each sub-stream
     key, are drawn together in one (2, ...) buffer; each row holds exactly
     what ``uniform_field`` gives for its sub-key."""
     key = int(key)
-    h = _golden_index(index, 2)
+    h = _golden_index(index, cols, 2)
     np.bitwise_xor(h[0, ...], np.uint64(_mix_int(key ^ _NORMAL_K2)), out=h[1, ...])
     h[0, ...] ^= np.uint64(_mix_int(key ^ _NORMAL_K1))
     u = _to_uniform(h)
@@ -131,16 +147,3 @@ def normal_field(key: np.uint64, index: np.ndarray) -> np.ndarray:
     np.cos(u2, out=u2)
     u1 *= u2
     return u1[()]
-
-
-def grid_index(n_rows: int, n_cols: int) -> np.ndarray:
-    """Row-major (u, m) index grid usable with the field functions."""
-    return grid_cells(np.arange(n_rows), np.arange(n_cols))
-
-
-def grid_cells(rows, cols) -> np.ndarray:
-    """Indices of the cells (rows x cols) of the grid ``grid_index`` spans,
-    so a field drawn over them equals that sub-block of the full field."""
-    rows = np.asarray(rows, dtype=np.uint64)[:, None]
-    cols = np.asarray(cols, dtype=np.uint64)[None, :]
-    return rows * np.uint64(1 << 32) + cols

@@ -244,10 +244,8 @@ class SyntheticScorer:
         # and floor, written into the noise field: a cell without
         # evidence clips to the floor, so all such cells share one logit, and
         # only the few cells with evidence need their own
-        z = rng.normal_field(
-            rng.stream_key(self.spec.seed, "qphr", self.utt.uid),
-            rng.grid_index(self._u, self._m),
-        )
+        z = rng.normal_field(rng.stream_key(self.spec.seed, "qphr", self.utt.uid),
+                             np.arange(self._u), np.arange(self._m))
         z *= PHRASE_JITTER_GAIN * sigma
         flat, ev = z.reshape(-1), ev.reshape(-1)
         cells = (ev != 0.0).nonzero()[0]  # a bool scan beats np.flatnonzero on floats
@@ -267,20 +265,16 @@ class SyntheticScorer:
         concentrates the boost on near-complete overlaps, so partial
         sharers stay well below the gold score.
         """
-        mat = self.phi.matrix
         key = rng.stream_key(self.spec.seed, "dst", self.utt.uid)
         log_boost = np.log(self.spec.distractor_boost)
         for s in self.utt.spans:
-            shared = mat[:, mat[s.phrase] > 0].sum(axis=1)
-            shared[0] = shared[s.phrase] = 0
-            cols = np.flatnonzero(shared)
+            cols, frac = self.phi.overlaps(s.phrase)
             if cols.size == 0:
                 continue
             # only the span rows of the sharer columns are read, so only their
             # cells of the (U, M) uniform grid are drawn
-            draws = rng.uniform_field(key, rng.grid_cells(np.arange(s.start, s.end), cols))
+            draws = rng.uniform_field(key, np.arange(s.start, s.end), cols)
             r = 1.0 - draws  # (0,1], keeps boost**r away from the r=0 degeneracy
-            frac = shared[cols] / self.phi.row_sizes[cols]  # a sharer holds a token
             r *= log_boost
             vals = np.exp(r, out=r)
             vals *= frac**3
@@ -308,10 +302,8 @@ class SyntheticScorer:
         if rows.size:
             block = q[rows]
             if gain > 0.0:
-                z = rng.normal_field(
-                    rng.stream_key(self.spec.seed, "qtok", self.utt.uid),
-                    rng.grid_cells(rows, np.arange(v)),
-                )
+                z = rng.normal_field(rng.stream_key(self.spec.seed, "qtok", self.utt.uid),
+                                     rows, np.arange(v))
                 z *= gain
                 block *= np.exp(z, out=z)
             q[rows] = block / block.sum(axis=1, keepdims=True)

@@ -6,6 +6,7 @@ pooling's width selection (the ``width_sides`` fixture)."""
 import numpy as np
 import parent_decode
 import pytest
+from test_corpus import _brute_force_scan
 
 from ctxbias import corpus, jointdecode, purify, simulate
 from ctxbias.bundle import CorrelationBundle
@@ -40,6 +41,39 @@ def lists(corp):
         bl = longest.sublist(np.arange(m))
         out[m] = bl, corpus.build_phi(bl, corp.vocabulary)
     return out
+
+
+@pytest.fixture(scope="module")
+def long_phrases(corp):
+    """(list, mask, utterances): a list whose real phrases hold 7 to 19
+    tokens (the generated lists hold 2 to 6), each base phrase with an
+    extension that starts with it and a variant with one token swapped for
+    its confusable partner, and utterances naming one or two of them in
+    spans. Windows longer than 6 steps and deep prefix-tree walks then run
+    end to end."""
+    vocab, gen = corp.vocabulary, np.random.default_rng(21)
+    phrases = {}
+    for _ in range(40):
+        base = gen.integers(2, vocab.size, size=int(gen.integers(7, 16))).tolist()
+        extra = gen.integers(2, vocab.size, size=int(gen.integers(2, 13))).tolist()
+        longer = (base + extra)[: corpus.MAX_PHRASE_LEN]
+        variant = list(base)
+        k = int(gen.integers(len(base)))
+        variant[k] = vocab.confusable[variant[k]]
+        phrases.update(dict.fromkeys(map(tuple, (base, longer, variant))))
+    bl = corpus.make_biasing_list(phrases, vocab)
+    utts = []
+    for k in range(8):
+        tokens, spans = [], []
+        for _ in range(1 + k % 2):
+            tokens += gen.integers(2, vocab.size, size=int(gen.integers(1, 4))).tolist()
+            m = int(gen.integers(1, bl.size))
+            spans.append(corpus.Span(len(tokens), len(tokens) + len(bl.phrases[m]), m))
+            tokens += bl.phrases[m]
+        tokens += gen.integers(2, vocab.size, size=2).tolist()
+        utts.append(corpus.Utterance(f"long{k}", tuple(tokens), 0.1 * len(tokens), tuple(spans)))
+    assert {len(p) for p in bl.phrases[1:]} == set(range(7, corpus.MAX_PHRASE_LEN + 1))
+    return bl, corpus.build_phi(bl, vocab), utts
 
 
 def _assert_same(new, old):
@@ -101,6 +135,42 @@ def test_decoders_match_the_parent_stages_on_purified_sublists(corp, lists, meth
             kept = getattr(purify, method)(longest, scorer, CFG.purify_for(2)).kept
             _both_decoders(scorer.bundle(kept), longest.sublist(kept),
                            purify.restrict_phi(phi, kept))
+
+
+def _assert_guard_counts(res, bl):
+    """The guard's counts are those of the brute-force scan."""
+    assert res.count_bb == len(_brute_force_scan(res.hyp_bb, bl))
+    assert res.count_casr == len(_brute_force_scan(res.hyp_casr, bl))
+
+
+def test_decoders_match_the_parent_stages_on_long_phrases(corp, long_phrases, width_sides):
+    """Phrases of 7 to 19 tokens: the joint and attention decodes of the full
+    list, and the purified decodes of the ``gcp`` and ``ocp`` kept sets,
+    match the parent's stages, and the guard's counts match the brute-force
+    scan of the list or of the kept sublist."""
+    bl, phi, utts = long_phrases
+    spec = simulate.NoiseSpec(seed=4, label_flip_rate=0.1, score_jitter_sigma=0.1,
+                              confusion_rate=0.3, distractor_boost=0.4)
+    lengths, kept_sizes, counts = set(), [], set()
+    for _ in width_sides():
+        for utt in utts:
+            scorer = simulate.SyntheticScorer(utt, bl, corp.vocabulary, spec, phi)
+            bundle = scorer.bundle()
+            _both_decoders(bundle, bl, phi)
+            res = jointdecode.decode_utterance(bundle, bl, phi, PARAMS)
+            _assert_guard_counts(res, bl)
+            lengths.add(res.phrase_length)
+            counts.update((res.count_bb, res.count_casr))
+            for pick in (purify.gcp, purify.ocp):
+                kept = pick(bl, scorer, CFG.purify_for(4)).kept
+                kept_sizes.append(kept.indices.size)
+                sub, sub_phi = bl.sublist(kept), purify.restrict_phi(phi, kept)
+                want = parent_decode.decode_utterance(scorer.bundle(kept), sub, sub_phi, PARAMS)
+                got = jointdecode.decode_utterance(scorer.bundle(kept), bl, phi, PARAMS, kept)
+                _assert_same(got, want)
+                _assert_guard_counts(got, sub)
+    assert max(lengths) > 6 and 1 < min(kept_sizes) and max(kept_sizes) < bl.size
+    assert {0, 1, 2} <= counts
 
 
 def _random_bundle(gen, u, m, v, q_list):

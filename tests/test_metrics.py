@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from ctxbias import corpus, metrics
+from ctxbias.harness import runner
+from ctxbias.harness.config import ExperimentConfig
+from ctxbias.harness.corpusgen import generate_corpus
 
 
 def _vocab():
@@ -75,16 +78,53 @@ def _cer_dp(hyp, ref):
     return (s + ins + dele) / r, s, ins, dele
 
 
+def _noisy_sweep_pairs():
+    """The (hyp, ref) pairs a small noisy sweep scores."""
+    cfg = ExperimentConfig(n_utterances=30, list_lengths=(51, 201),
+                           methods=("baseline", "joint", "joint_pp"), confusion_rate=0.6,
+                           distractor_boost=0.3, score_jitter_sigma=0.3, label_flip_rate=0.1)
+    corp = generate_corpus(cfg)
+    refs = {u.uid: u.tokens for u in corp.utterances}
+    cells = runner.run_sweep(cfg, corpus=corp, keep_outcomes=True).values()
+    return [(o.hyp, refs[o.uid]) for cell in cells for o in cell.outcomes]
+
+
 def test_cer_identical_fast_path_matches_full_dp():
+    """The identical-sequence shortcut and the banded DP against the full
+    DP, on the band's edge cases: unequal lengths up to the whole length
+    difference, an empty hypothesis, edits at either end, adjacent swaps
+    (two substitutions tie with a deletion plus an insertion), no shared
+    token, and what a noisy sweep scores."""
     rng = np.random.default_rng(3)
     pairs = [((1,), (1,)), ((4, 4, 4), (4, 4, 4)), ([1, 2, 3], (1, 2, 3))]
     for _ in range(200):
         ref = tuple(rng.integers(0, 4, size=rng.integers(1, 12)).tolist())
         hyp = ref if rng.random() < 0.5 else tuple(rng.integers(0, 4, size=len(ref)).tolist())
         pairs.append((hyp, ref))
-    for hyp, ref in pairs:
+    base = (1, 2, 3, 4, 5, 6, 7, 8)
+    for ref in (base, (3, 1, 3, 1, 3, 1, 3), (2, 2, 2, 5)):
+        n = len(ref)
+        pairs += [((), ref), (ref[1:], ref), (ref[:-1], ref), (ref, ref[1:]), (ref, ref[:-1])]
+        pairs += [((9,) + ref[1:], ref), (ref[:-1] + (9,), ref), ((9,) + ref, ref),
+                  (ref + (9,), ref), (tuple(t + 20 for t in ref), ref),
+                  (tuple(t + 20 for t in ref[:2]), ref), (ref * 3, ref), (ref[:1], ref * 2)]
+        for k in range(n - 1):  # adjacent swaps, at every position
+            swapped = list(ref)
+            swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
+            pairs += [(tuple(swapped), ref), (tuple(swapped[:-1]), ref), (ref, tuple(swapped))]
+    for _ in range(300):  # every length difference, with edits on top
+        ref = tuple(rng.integers(0, 3, size=rng.integers(1, 10)).tolist())
+        kept = list(ref[: rng.integers(0, len(ref) + 1)])
+        hyp = kept + rng.integers(0, 3, size=rng.integers(0, 6)).tolist()
+        for _ in range(rng.integers(0, 3)):
+            if hyp:
+                hyp[rng.integers(0, len(hyp))] = int(rng.integers(0, 3))
+        pairs += [(tuple(hyp), ref), (ref, tuple(hyp) or (0,))]
+    sweep = _noisy_sweep_pairs()
+    assert any(hyp != ref for hyp, ref in sweep)
+    for hyp, ref in pairs + sweep:
         got, want = metrics.cer(hyp, ref), _cer_dp(tuple(hyp), tuple(ref))
-        assert got == want
+        assert got == want, (hyp, ref)
         assert [type(v) for v in got] == [type(v) for v in want] == [float, int, int, int]
 
 
@@ -145,6 +185,30 @@ def test_phrase_prf_accidental_reference_occurrence_is_not_fp():
     p, r, f1, tp, fp, fn = metrics.phrase_prf(ref, ref, spans, bl)
     assert (p, r, f1) == (1.0, 1.0, 1.0)
     assert (tp, fp, fn) == (1, 0, 0)
+
+
+def test_exact_hypothesis_scans_once_and_counts_as_two_scans(monkeypatch):
+    """A hypothesis equal to its reference is scanned once, and counts as
+    scanning both would: an accidental list phrase in the reference is then
+    in the hypothesis too, so it is no false positive."""
+    v = _vocab()
+    bl = corpus.make_biasing_list([(2, 3), (4, 5)], v)
+    ref = (4, 5, 9, 2, 3, 4, 5)  # (4, 5) occurs twice, neither a span
+    spans = (corpus.Span(3, 5, 1),)
+    calls = []
+
+    def counted(tokens, biasing_list, kept=None):
+        calls.append(tuple(tokens))
+        return corpus.scan_occurrences(tokens, biasing_list, kept)
+
+    monkeypatch.setattr(metrics, "scan_occurrences", counted)
+    for hyp in (ref, list(ref)):
+        calls.clear()
+        assert metrics._prf_counts(hyp, ref, spans, bl) == (1, 0, 0)
+        assert calls == [ref]
+    calls.clear()
+    assert metrics._prf_counts((4, 5, 9, 2, 3, 4, 5, 4, 5), ref, spans, bl) == (1, 1, 0)
+    assert len(calls) == 2
 
 
 def test_phrase_prf_rejects_misaligned_inputs():

@@ -6,6 +6,18 @@ import pytest
 from ctxbias import rng
 
 
+def _grid_cells(rows, cols) -> np.ndarray:
+    """The composed grid index ``row * 2**32 + col`` of the cells rows x cols,
+    kept as the oracle for the fields' grid form."""
+    rows = np.asarray(rows, dtype=np.uint64)[:, None]
+    cols = np.asarray(cols, dtype=np.uint64)[None, :]
+    return rows * np.uint64(1 << 32) + cols
+
+
+def _grid_index(n_rows: int, n_cols: int) -> np.ndarray:
+    return _grid_cells(np.arange(n_rows), np.arange(n_cols))
+
+
 def test_stream_key_is_deterministic():
     a = rng.stream_key(7, "noise", 3)
     b = rng.stream_key(7, "noise", 3)
@@ -17,7 +29,7 @@ def test_stream_key_is_deterministic():
 
 def test_uniform_field_range_and_shape():
     key = rng.stream_key(1, "u")
-    idx = rng.grid_index(64, 128)
+    idx = _grid_index(64, 128)
     u = rng.uniform_field(key, idx)
     assert u.shape == (64, 128)
     assert np.all(u >= 0.0) and np.all(u < 1.0)
@@ -28,13 +40,13 @@ def test_uniform_field_range_and_shape():
 def test_uniform_field_composition_independence():
     # a cell's value depends only on (key, index), not on the grid it sits in
     key = rng.stream_key(5, "iso")
-    small = rng.uniform_field(key, rng.grid_index(10, 20))
-    big = rng.uniform_field(key, rng.grid_index(40, 80))
+    small = rng.uniform_field(key, _grid_index(10, 20))
+    big = rng.uniform_field(key, _grid_index(40, 80))
     assert np.array_equal(small, big[:10, :20])
 
 
 def test_uniform_field_distinct_keys_decorrelate():
-    idx = rng.grid_index(50, 50)
+    idx = _grid_index(50, 50)
     a = rng.uniform_field(rng.stream_key(1, "x"), idx)
     b = rng.uniform_field(rng.stream_key(2, "x"), idx)
     assert not np.array_equal(a, b)
@@ -51,10 +63,15 @@ def test_normal_field_moments():
 
 
 def test_grid_index_row_major_uniqueness():
-    idx = rng.grid_index(7, 9)
+    idx = _grid_index(7, 9)
     assert idx.shape == (7, 9)
     assert len(np.unique(idx)) == 63
     assert idx.dtype == np.uint64
+    # the grid form draws at exactly these indices, cell by cell
+    key = rng.stream_key(4, "grid")
+    u = rng.uniform_field(key, np.arange(7), np.arange(9))
+    want = [[rng.uniform_field(key, int(i) * 2**32 + int(j)) for j in range(9)] for i in range(7)]
+    assert u.shape == (7, 9) and np.array_equal(u, want)
 
 
 # -- the numpy-scalar implementation, kept as the bit-level oracle -----------
@@ -142,9 +159,9 @@ def test_fields_match_reference_bit_for_bit():
         np.arange(40),
         gen.integers(0, 2**64, size=(17, 33), dtype=np.uint64),
         np.array([2**63, 2**63 + 1, 2**64 - 1], dtype=np.uint64),
-        rng.grid_index(16, 1196),
-        rng.grid_index(5, 9) + np.uint64(2**32),  # rows shifted by one
-        rng.grid_index(3, 7)[:, ::2],  # non-contiguous
+        _grid_index(16, 1196),
+        _grid_index(5, 9) + np.uint64(2**32),  # rows shifted by one
+        _grid_index(3, 7)[:, ::2],  # non-contiguous
     ]
     keys = [rng.stream_key(1, "u"), np.uint64(0), np.uint64(2**64 - 1)]
     keys += [np.uint64(k) for k in gen.integers(0, 2**64, size=12, dtype=np.uint64)]
@@ -158,20 +175,49 @@ def test_fields_match_reference_bit_for_bit():
 
 
 def test_grid_cells_are_the_grid_index_sub_block():
-    full = rng.grid_index(9, 30)
+    full = _grid_index(9, 30)
     rows, cols = np.meshgrid(np.arange(9), np.arange(30), indexing="ij")
     assert np.array_equal(full, rows.astype(np.uint64) * np.uint64(2**32) + cols.astype(np.uint64))
     rows, cols = np.arange(2, 7), np.array([0, 3, 4, 29])
-    assert np.array_equal(rng.grid_cells(rows, cols), full[2:7][:, cols])
-    assert rng.grid_cells(rows, cols).dtype == np.uint64
+    key = rng.stream_key(5, "block")
+    for field in (rng.uniform_field, rng.normal_field):
+        full = field(key, np.arange(9), np.arange(30))
+        assert _same_bits(field(key, rows, cols), full[2:7][:, cols])
+
+
+def test_grid_fields_match_reference_bit_for_bit():
+    """The grid form, ``field(key, rows, cols)``, on the shapes the scorer
+    draws, against the reference fields over the composed index."""
+    gen = np.random.default_rng(14)
+    grids = [
+        (np.arange(16), np.arange(1196)),  # the phrase jitter at M=1196
+        (np.arange(3), np.arange(7)),
+        (np.arange(1), np.arange(1)),
+        (np.array([1, 4, 5, 11]), np.arange(82)),  # confused token rows x vocabulary
+        (np.arange(6, 9), np.array([2, 17, 40, 41, 600, 1195])),  # span rows x sharers
+        (np.arange(0), np.arange(5)),
+        ([2**32 - 1, 2**32 + 3], [0, 2**32 - 1, 2**40]),  # wrapping rows and columns
+        (gen.integers(0, 2**64, size=5, dtype=np.uint64),
+         gen.integers(0, 2**64, size=9, dtype=np.uint64)),
+    ]
+    keys = [rng.stream_key(0, "qphr", "utt0001"), np.uint64(0), np.uint64(2**64 - 1)]
+    keys += [np.uint64(k) for k in gen.integers(0, 2**64, size=4, dtype=np.uint64)]
+    for key in keys:
+        for rows, cols in grids:
+            index = _grid_cells(rows, cols)
+            for fast, ref in ((rng.uniform_field, _ref_uniform_field),
+                              (rng.normal_field, _ref_normal_field)):
+                got = fast(key, rows, cols)
+                assert _same_bits(got, ref(key, index)), (fast.__name__, key, len(rows))
+                assert got.flags.c_contiguous
 
 
 def test_normal_field_rows_are_the_documented_uniform_streams():
     """The two uniform streams a normal draw fuses into one buffer are each
     exactly what ``uniform_field`` gives under its sub-key."""
     gen = np.random.default_rng(13)
-    indices = [np.uint64(9), np.arange(18, dtype=np.uint64), rng.grid_index(16, 51),
-               rng.grid_cells([2, 5], np.arange(82)), np.zeros((0, 3), dtype=np.uint64)]
+    indices = [np.uint64(9), np.arange(18, dtype=np.uint64), _grid_index(16, 51),
+               _grid_cells([2, 5], np.arange(82)), np.zeros((0, 3), dtype=np.uint64)]
     for key in [rng.stream_key(0, "qphr", "utt0001"), np.uint64(2**64 - 1),
                 *gen.integers(0, 2**64, size=5, dtype=np.uint64)]:
         k1 = np.uint64(rng._mix_int(int(key) ^ rng._NORMAL_K1))

@@ -104,6 +104,33 @@ def test_lean_build_equals_parent_build_bit_for_bit(spec_name, corp):
     assert built > 150
 
 
+def test_distractor_overlaps_cached_on_the_mask_build_as_the_parent_did(corp):
+    """Two utterances naming one gold phrase, built against one mask: the
+    first build computes the phrase's overlaps and caches them on the mask,
+    the second reads them from there; both builds match the parent's."""
+    vocab, bl = corp.vocabulary, corp.lists[1196]
+    phi = corpus.build_phi(bl, vocab)
+    spec = SPECS["all"]
+    gen = np.random.default_rng(23)
+    gold = 700
+    phrase = bl.phrases[gold]
+    utts = []
+    for k, start in enumerate((0, 5)):
+        tokens = gen.integers(2, vocab.size, size=start + len(phrase) + 4).tolist()
+        tokens[start : start + len(phrase)] = phrase
+        span = corpus.Span(start, start + len(phrase), gold)
+        utts.append(corpus.Utterance(f"shared{k}", tuple(tokens), 1.0, (span,)))
+    assert gold not in phi._overlaps
+    entries = []
+    for utt in utts:
+        new = simulate.SyntheticScorer(utt, bl, vocab, spec, phi)
+        _assert_same_build(new, parent_build.SyntheticScorer(utt, bl, vocab, spec, phi))
+        entries.append(phi._overlaps[gold])
+    assert entries[0] is entries[1] and list(phi._overlaps) == [gold]
+    cols, frac = entries[0]
+    assert cols.size > 0 and not (cols.flags.writeable or frac.flags.writeable)
+
+
 def test_wide_token_jitter_draws_every_row_as_the_parent_did(corp):
     """Past the bound where a one-hot token row might not survive the jitter
     exactly, every row is drawn: the same rows come out, or the same error."""

@@ -392,7 +392,8 @@ def _dense_distractors(ev, scorer):
     u, m = ev.shape
     mat = scorer.phi.matrix.astype(bool)
     set_sizes = np.maximum(mat.sum(axis=1), 1)
-    draws = rng.uniform_field(rng.stream_key(spec.seed, "dst", utt.uid), rng.grid_index(u, m))
+    draws = rng.uniform_field(rng.stream_key(spec.seed, "dst", utt.uid),
+                              parent_build.grid_index(u, m))
     r = 1.0 - draws
     log_boost = np.log(spec.distractor_boost)
     for s in utt.spans:
@@ -430,7 +431,7 @@ def test_distractors_match_dense_field_formula():
             scorer._apply_distractors(ev)
             assert ev.tobytes() == want.tobytes(), (m, utt.uid)
             z = rng.normal_field(rng.stream_key(spec.seed, "qphr", utt.uid),
-                                 rng.grid_index(utt.n_steps, m))
+                                 parent_build.grid_index(utt.n_steps, m))
             base = np.log(np.clip(want, simulate.PHRASE_JITTER_FLOOR, simulate.JITTER_CAP))
             base -= np.log1p(-np.clip(want, simulate.PHRASE_JITTER_FLOOR, simulate.JITTER_CAP))
             x = base + simulate.PHRASE_JITTER_GAIN * spec.score_jitter_sigma * z
