@@ -4,8 +4,9 @@
 
 Each revision is checked out into its own temporary git worktree. Whole
 tier-1 (``python -m pytest -q --continue-on-collection-errors`` with the
-worktree's ``src`` on ``PYTHONPATH``) then runs there ``--runs`` times,
-alternating PARENT, CHANGE, PARENT, ... so that both sides see the same
+worktree's ``src`` on ``PYTHONPATH``) then runs there ``--runs`` times per
+side, one run of each side after the other; the side that runs first
+alternates from run to run (``run_order``), so that both sides see the same
 host load. The worktrees are removed afterwards. Only local git is used.
 
 From each run the script reads the ``ACCEPTANCE 8: PASS`` line, or one of
@@ -95,6 +96,12 @@ def summarize(label: str, runs: list[Acceptance8]) -> str:
             f"M=51->201 gap median {_median(r.gap for r in runs)} s")
 
 
+def run_order(run: int) -> tuple[str, str]:
+    """Which side runs first in run (or pair) ``run``, counted from 1: the
+    parent in odd ones, the change in even ones."""
+    return ("parent", "change") if run % 2 else ("change", "parent")
+
+
 def _git(repo: Path, *args: str) -> str:
     return subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True,
                           text=True).stdout.strip()
@@ -144,8 +151,8 @@ def main(argv=None) -> int:
     results: dict[str, list[Acceptance8]] = {"parent": [], "change": []}
     with worktrees({"parent": args.parent, "change": args.change}, "acceptance8-") as sides:
         for i in range(args.runs):
-            for side, (_, tree) in sides.items():
-                run = parse_run(_tier1(tree, args.one_blas_thread))
+            for side in run_order(i + 1):
+                run = parse_run(_tier1(sides[side][1], args.one_blas_thread))
                 results[side].append(run)
                 totals = "  ".join(f"M={m}: {s:.3f}" for m, s in sorted(run.joint.items()))
                 print(f"run {i + 1} {side}: criterion 8 {run.outcome}; {totals}; purified "

@@ -6,9 +6,10 @@
 Each revision is checked out into its own temporary git worktree, as
 ``acceptance8_pairs.py`` does. Each pair then runs ``perfbench/run.py
 --workload W --seed N --seconds S --trace 0`` once in each worktree; the
-side that runs first alternates from pair to pair, so that both sides see
-the same host load. ``--seconds`` defaults to ``run_seconds`` in
-BENCHMARK.json. Only local git is used.
+side that runs first alternates from pair to pair (``run_order``, shared
+with ``acceptance8_pairs.py``), so that both sides see the same host load.
+``--seconds`` defaults to ``run_seconds`` in BENCHMARK.json. Only local git
+is used.
 
 The last line a run prints is its JSON result. Per end-to-end metric of
 BENCHMARK.json the script prints each side's median and quartiles, the
@@ -29,7 +30,7 @@ import sys
 import time
 from pathlib import Path
 
-from acceptance8_pairs import worktrees
+from acceptance8_pairs import run_order, worktrees
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -116,7 +117,7 @@ def main(argv=None) -> int:
     runs = []
     with worktrees({"parent": args.parent, "change": args.change}, "bench-pairs-") as sides:
         for pair in range(1, args.pairs + 1):
-            order = ["parent", "change"] if pair % 2 else ["change", "parent"]
+            order = run_order(pair)
             for side in order:
                 done, wall = _run(sides[side][1], args.workload, args.seed, args.seconds)
                 result, digest = parse_result(done.stdout)

@@ -7,7 +7,9 @@ so one ``SyntheticScorer`` built against the longest list serves every
 list length: a cell of length m slices the scorer's first m columns. The
 scorer is built once per utterance and seed, and only when some method
 needs it; then every (list length, method) cell is decoded from it.
-``run_sweep`` checks the prefix property before anything is decoded. With
+Before anything is decoded, ``run_sweep`` checks the corpus: each swept
+list holds its length and is a prefix of the longest, utterance ids are
+unique, and every span names a phrase of the shortest list. With
 several workers one process pool serves the whole sweep, and outcomes are
 reduced in utterance-id order, so the metrics are identical to a serial
 run. Workers are spawned, not forked: they start from a fresh import and
@@ -27,22 +29,17 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..corpus import BiasingList, PhiMask, Utterance, Vocabulary, build_phi, validate_spans
-from ..jointdecode import (
-    attention_decode,
-    count_phrases,
-    decode_utterance,
-    greedy_decode,
-)
+from ..jointdecode import attention_decode, count_phrases, decode_utterance, greedy_decode
 from ..metrics import MetricsReport, cer, phrase_prf, retention_rate, rtf
-# restrict_phi is no longer called here, since purified cells decode
-# through the full list's indexes; it stays importable from the runner,
-# where perfbench's tracer wraps it
+# purified cells decode through the full list's indexes; restrict_phi stays
+# importable here only because perfbench's tracer wraps it
 from ..purify import gcp, ocp, restrict_phi  # noqa: F401
 from ..simulate import SyntheticScorer, synth_backbone
 from .config import ExperimentConfig
@@ -86,14 +83,13 @@ def decode_one(
     sweep_seed: int,
 ) -> dict[tuple[int, str], UttOutcome]:
     """Decode one utterance under one sweep seed, for every (list length,
-    method) cell of the sweep. ``lists`` must nest: see ``run_sweep``."""
+    method) cell of the sweep. ``run_sweep`` checks that each list holds its
+    swept length, that the lists nest and that the spans fit the shortest."""
     noise = config.noise_for(sweep_seed)
     params = config.purify_for(sweep_seed)
     scorer = p_bb = None
-    # spans that fit the shortest list fit every list (_aggregate relies on it)
-    validate_spans(utt, lists[min(lists, key=lambda m: lists[m].size)])
     if any(method != "baseline" for method in config.methods):
-        longest = max(lists, key=lambda m: lists[m].size)
+        longest = max(lists)
         scorer = SyntheticScorer(utt, lists[longest], vocab, noise, phis[longest])
     if "baseline" in config.methods:
         p_bb = synth_backbone(utt, noise, vocab)
@@ -106,9 +102,9 @@ def decode_one(
     for m, biasing_list in lists.items():
         phi = phis[m]
         # phrases count against the cell list, purified or not
-        counts: dict[tuple[int, ...], int] = {}
+        count = functools.cache(functools.partial(count_phrases, biasing_list=biasing_list))
         for method in config.methods:
-            kept = res = None
+            kept = None
             t0 = time.perf_counter()
             if method == "baseline":
                 hyp_bb = hyp_casr = hyp_final = greedy_decode(p_bb)
@@ -116,24 +112,13 @@ def decode_one(
                 if method in PURIFY_METHODS:
                     pick = gcp if "gcp" in method else ocp
                     kept = pick(biasing_list, scorer, params).kept
-                    res = decode_utterance(scorer.bundle(kept), biasing_list, phi,
-                                           config.smoothing, kept)
+                bundle = scorer.bundle(np.arange(m) if kept is None else kept)
+                if method.startswith("attn"):
+                    res = attention_decode(bundle, biasing_list, phi)
                 else:
-                    bundle = scorer.bundle(np.arange(biasing_list.size))
-                    if method.startswith("attn"):
-                        res = attention_decode(bundle, biasing_list, phi)
-                    else:
-                        res = decode_utterance(bundle, biasing_list, phi, config.smoothing)
+                    res = decode_utterance(bundle, biasing_list, phi, config.smoothing, kept)
                 hyp_bb, hyp_casr, hyp_final = res.hyp_bb, res.hyp_casr, res.hyp_final
             wall = time.perf_counter() - t0
-
-            if res is not None and kept is None:
-                # an unpurified guard counted both hypotheses against the cell list
-                counts.setdefault(hyp_bb, res.count_bb)
-                counts.setdefault(hyp_casr, res.count_casr)
-            for h in (hyp_bb, hyp_final):
-                if h not in counts:
-                    counts[h] = count_phrases(h, biasing_list)
 
             hyp = hyp_final if method.endswith("_pp") else hyp_casr
             outcomes[(m, method)] = UttOutcome(
@@ -142,8 +127,8 @@ def decode_one(
                 kept=None if kept is None else tuple(kept.indices.tolist()),
                 wall_seconds=wall,
                 edits=score(hyp)[1:],
-                count_bb=counts[hyp_bb],
-                count_final=counts[hyp_final],
+                count_bb=count(hyp_bb),
+                count_final=count(hyp_final),
                 cer_bb=score(hyp_bb)[0],
                 cer_final=score(hyp_final)[0],
             )
@@ -189,7 +174,7 @@ def _aggregate(
         decode_seconds += out.wall_seconds
         audio_seconds += utt.duration_seconds
     p, r, f1, tp, fp, fn = phrase_prf(hyps, refs, spans, biasing_list)
-    # every span names a phrase of the cell list (decode_one checks this), so
+    # every span names a phrase of the cell list (run_sweep checks this), so
     # an unpurified cell keeps every gold phrase
     kept = [out.kept for out in outcomes if out.kept is not None]
     report = MetricsReport(
@@ -234,10 +219,21 @@ def run_sweep(
     if missing:
         raise ValueError(f"the corpus lacks swept length {missing}; it has {sorted(corpus.lists)}")
     lists = {m: corpus.lists[m] for m in config.list_lengths}
-    longest = max(lists.values(), key=lambda bl: bl.size)
+    longest = lists[max(lists)]
     for m, biasing_list in lists.items():
-        if longest.phrases[: biasing_list.size] != biasing_list.phrases:
+        if biasing_list.size != m:
+            raise ValueError(f"swept list M={m} holds {biasing_list.size} entries, not {m}")
+        if longest.phrases[:m] != biasing_list.phrases:
             raise ValueError(f"swept list M={m} is not a prefix of the longest list")
+    if not corpus.utterances:
+        raise ValueError("the corpus has no utterances")
+    uids = Counter(utt.uid for utt in corpus.utterances)
+    repeated = sorted(uid for uid, n in uids.items() if n > 1)
+    if repeated:
+        raise ValueError(f"the corpus repeats utterance id {repeated}")
+    # spans that fit the shortest list fit every list (_aggregate relies on it)
+    for utt in corpus.utterances:
+        validate_spans(utt, lists[min(lists)])
     phis = {m: build_phi(bl, corpus.vocabulary) for m, bl in lists.items()}
     tasks = [(utt, s) for s in config.sweep_seeds for utt in corpus.utterances]
     if workers > 1:

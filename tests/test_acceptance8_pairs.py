@@ -1,8 +1,9 @@
 """The parser of ``scripts/acceptance8_pairs.py`` on criterion 8's three
 outputs: the PASS line, and the monotone and purified failure messages as
 pytest prints them (the message line, the source lines around it, and the
-truncated summary line)."""
+truncated summary line); and the order its runs take."""
 
+import contextlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -85,3 +86,19 @@ def test_summary_counts_passes_and_takes_medians():
     assert f"ratio median {0.85 / 0.90:.3f}" in line
     assert "gap median 0.120 s" in line
     assert "n/a" in pairs.summarize("none", [pairs.parse_run("")])
+
+
+def test_the_side_that_runs_first_alternates(monkeypatch, capsys):
+    assert [pairs.run_order(i) for i in (1, 2, 3)] == [
+        ("parent", "change"), ("change", "parent"), ("parent", "change")]
+
+    @contextlib.contextmanager
+    def fake_worktrees(revisions, prefix):
+        yield {name: (f"{name}-commit", Path(name)) for name in revisions}
+
+    ran = []
+    monkeypatch.setattr(pairs, "worktrees", fake_worktrees)
+    monkeypatch.setattr(pairs, "_tier1", lambda tree, one_thread: ran.append(tree.name) or _PASS)
+    assert pairs.main(["p", "c", "--runs", "3"]) == 0
+    assert ran == ["parent", "change", "change", "parent", "parent", "change"]
+    assert "parent parent-com: criterion 8 passed 3/3" in capsys.readouterr().out

@@ -396,7 +396,7 @@ def _direct_decode(utt, biasing_list, vocab, cfg, method, seed):
         kept = tuple(pick(biasing_list, scorer, cfg.purify_for(seed)).kept.indices.tolist())
         res = decode_utterance(scorer.bundle(kept), biasing_list.sublist(kept),
                                purify.restrict_phi(phi, kept), cfg.smoothing)
-    elif method == "attn":
+    elif method.startswith("attn"):
         res = attention_decode(scorer.bundle(), biasing_list, phi)
     else:
         res = decode_utterance(scorer.bundle(), biasing_list, phi, cfg.smoothing)
@@ -437,7 +437,8 @@ def test_sweep_metrics_match_direct_recomputation():
     cfg = _small_config(
         n_utterances=10,
         list_lengths=(51, 201),
-        methods=("baseline", "attn", "joint", "joint_pp", "joint_gcp_pp"),
+        methods=("baseline", "attn", "attn_pp", "joint", "joint_pp", "joint_gcp", "joint_gcp_pp",
+                 "joint_ocp"),
         confusion_rate=0.4,
         distractor_boost=0.3,
         score_jitter_sigma=0.2,
@@ -473,7 +474,8 @@ def test_sweep_builds_one_scorer_per_utterance_seed(monkeypatch):
         distractor_boost=0.3,
     )
     corp = corpusgen.generate_corpus(cfg)
-    counts = {"scorers": 0, "cer": 0, "pools": 0, "scans": 0}
+    counts = {"scorers": 0, "cer": 0, "pools": 0, "decodes": 0}
+    scanned = []  # (decode_one call, list size, hypothesis) of every phrase count
 
     class CountingScorer(SyntheticScorer):
         def __init__(self, *args, **kwargs):
@@ -490,22 +492,30 @@ def test_sweep_builds_one_scorer_per_utterance_seed(monkeypatch):
         return cer(hyp, ref)
 
     def counting_count_phrases(hyp, biasing_list):
-        counts["scans"] += 1
+        scanned.append((counts["decodes"], biasing_list.size, hyp))
         return count_phrases(hyp, biasing_list)
+
+    runner_decode_one = runner.decode_one
+
+    def counting_decode_one(*args):
+        counts["decodes"] += 1
+        return runner_decode_one(*args)
 
     monkeypatch.setattr(runner, "SyntheticScorer", CountingScorer)
     monkeypatch.setattr(runner, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(runner, "cer", counting_cer)
     monkeypatch.setattr(runner, "count_phrases", counting_count_phrases)
+    monkeypatch.setattr(runner, "decode_one", counting_decode_one)
     runner.run_sweep(cfg, corpus=corp)
     utt_seeds = 4 * 2
     assert counts["scorers"] == utt_seeds
     # at most two error-rate alignments per biased cell, one per baseline cell
     assert counts["cer"] <= utt_seeds * 4 * (3 * 2 + 1)
-    # per list length, the baseline scans the shared backbone hypothesis;
-    # attn and joint reuse their guards' counts, and only a purified final
-    # hypothesis the guards did not count is scanned again
-    assert utt_seeds * 4 <= counts["scans"] <= utt_seeds * 4 * (1 + 1)
+    # per list length, each distinct hypothesis is counted once: the backbone
+    # hypothesis every method shares, and at most one final one per biased method
+    assert counts["decodes"] == utt_seeds
+    assert len(set(scanned)) == len(scanned)
+    assert utt_seeds * 4 <= len(scanned) <= utt_seeds * 4 * (1 + 3)
     assert counts["pools"] == 0
 
     counts.update(scorers=0, cer=0)
@@ -516,12 +526,6 @@ def test_sweep_builds_one_scorer_per_utterance_seed(monkeypatch):
     baseline_only = config.ExperimentConfig(**{**cfg.__dict__, "methods": ("baseline",)})
     runner.run_sweep(baseline_only, corpus=corp)
     assert counts["scorers"] == 0
-
-    # unpurified methods only: every count comes from the guards
-    counts.update(scans=0)
-    guarded = config.ExperimentConfig(**{**cfg.__dict__, "methods": ("attn", "joint_pp")})
-    runner.run_sweep(guarded, corpus=corp)
-    assert counts["scans"] == 0
 
 
 def test_sweep_rejects_lists_that_do_not_nest():
@@ -538,6 +542,48 @@ def test_sweep_rejects_a_corpus_without_a_swept_length():
     cfg = _small_config(n_utterances=4, list_lengths=(51, 300), methods=("joint",))
     with pytest.raises(ValueError, match=r"lacks swept length \[300\]; it has \[51, 201\]"):
         runner.run_sweep(cfg, corpus=corp)
+
+
+def test_sweep_rejects_a_corpus_without_utterances():
+    cfg = _small_config(n_utterances=4, methods=("baseline", "joint"))
+    empty = dataclasses.replace(corpusgen.generate_corpus(cfg), utterances=())
+    with pytest.raises(ValueError, match="no utterances"):
+        runner.run_sweep(cfg, corpus=empty)
+
+
+def test_sweep_rejects_a_repeated_utterance_id():
+    # a repeated id would join an outcome to the wrong utterance's length
+    # and duration when the cell is aggregated
+    cfg = _small_config(n_utterances=4, methods=("baseline",))
+    corp = corpusgen.generate_corpus(cfg)
+    renamed = (corp.utterances[0], dataclasses.replace(corp.utterances[1], uid="utt0000"),
+               *corp.utterances[2:])
+    with pytest.raises(ValueError, match=r"repeats utterance id \['utt0000'\]"):
+        runner.run_sweep(cfg, corpus=dataclasses.replace(corp, utterances=renamed))
+
+
+def test_sweep_rejects_a_list_that_does_not_hold_its_swept_length():
+    corp = corpusgen.generate_corpus(_small_config(n_utterances=4, list_lengths=(51, 201)))
+    cfg = _small_config(n_utterances=4, list_lengths=(51,), methods=("joint",))
+    mislabelled = dataclasses.replace(corp, lists={51: corp.lists[201]})
+    with pytest.raises(ValueError, match="M=51 holds 201 entries, not 51"):
+        runner.run_sweep(cfg, corpus=mislabelled)
+
+
+def test_sweep_checks_spans_before_any_scorer_or_pool(monkeypatch):
+    cfg = _small_config(n_utterances=4, list_lengths=(51, 201), methods=("joint",))
+    corp = corpusgen.generate_corpus(cfg)
+    i, utt = next((i, u) for i, u in enumerate(corp.utterances) if u.spans)
+    # phrase 100 is in the longer list only
+    far = dataclasses.replace(utt, spans=(dataclasses.replace(utt.spans[0], phrase=100),))
+    bad = dataclasses.replace(corp, utterances=(*corp.utterances[:i], far,
+                                                *corp.utterances[i + 1:]))
+    started = []
+    monkeypatch.setattr(runner, "SyntheticScorer", lambda *a: started.append("scorer"))
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", lambda **kw: started.append("pool"))
+    with pytest.raises(ValueError, match=f"utterance {utt.uid}: span references phrase 100"):
+        runner.run_sweep(cfg, corpus=bad, workers=2)
+    assert started == []
 
 
 @pytest.mark.parametrize("workers", [0, -3])
