@@ -12,6 +12,7 @@ import configparser
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from ..numeric import check_int
 from ..purify import PurifyParams
 from ..simulate import NoiseSpec
 from ..smoothing import SmoothingParams
@@ -60,6 +61,11 @@ class ExperimentConfig:
     outdir: str = "runs"
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type == "int":
+                check_int(f.name, getattr(self, f.name))
+        for m in self.list_lengths:
+            check_int("a list_lengths item", m)
         if self.n_utterances < 1:
             raise ValueError("n_utterances must be positive")
         if not (MIN_U <= self.u_min <= self.u_max):
@@ -179,6 +185,12 @@ def load_config(path) -> ExperimentConfig:
     read = parser.read(path, encoding="utf-8")
     if not read:
         raise ValueError(f"cannot read config file {path}")
+    # a [DEFAULT] entry would be read through every section, or not at all
+    if parser.defaults():
+        raise ValueError(f"{path}: [DEFAULT] entries are not allowed: {sorted(parser.defaults())}")
+    unknown = sorted(set(parser.sections()) - set(_SECTIONS))
+    if unknown:
+        raise ValueError(f"{path}: unknown config sections {unknown}")
     values = {}
     for section, names in _SECTIONS.items():
         if not parser.has_section(section):
@@ -190,12 +202,7 @@ def load_config(path) -> ExperimentConfig:
                     values[name] = _parse_value(name, raw)
                 except ValueError as exc:
                     raise ValueError(f"{path}: [{section}] {name} = {raw!r}: {exc}") from None
-    extra = {
-        (s, o)
-        for s in parser.sections()
-        for o in parser.options(s)
-        if s not in _SECTIONS or o not in _SECTIONS.get(s, ())
-    }
+    extra = {(s, o) for s in parser.sections() for o in parser.options(s) if o not in _SECTIONS[s]}
     if extra:
         raise ValueError(f"unknown config entries: {sorted(extra)}")
     return ExperimentConfig(**values)

@@ -3,10 +3,12 @@ cell and aggregate metrics.
 
 The unit of work is one utterance under one sweep seed. Every swept list
 is a prefix of the longest one, and the scorer's noise is counter-based,
-so one ``SyntheticScorer`` built against the longest list serves every
-list length: a cell of length m slices the scorer's first m columns. The
-scorer is built once per utterance and seed, and only when some method
-needs it; then every (list length, method) cell is decoded from it.
+so one ``SyntheticScorer``, built against the longest list once per
+utterance and seed and only when some method needs it, serves every list
+length: a cell of length m slices its first m columns. Every biased decode
+runs the count guard, so each list decodes every base method once: the
+base cell reads the biased hypothesis, its ``_pp`` twin's cell the guard's
+choice, and both cells report that one decode's clock.
 Before anything is decoded, ``run_sweep`` checks the corpus: each swept
 list holds its length and is a prefix of the longest, utterance ids are
 unique, and every span names a phrase of the shortest list. With
@@ -83,14 +85,14 @@ def decode_one(
     sweep_seed: int,
 ) -> dict[tuple[int, str], UttOutcome]:
     """Decode one utterance under one sweep seed, for every (list length,
-    method) cell of the sweep. ``run_sweep`` checks that each list holds its
-    swept length, that the lists nest and that the spans fit the shortest."""
+    method) cell of the sweep; a ``_pp`` cell and its base cell share one
+    decode and its wall. ``run_sweep`` checks that each list holds its swept
+    length, that the lists nest and that the spans fit the shortest."""
     noise = config.noise_for(sweep_seed)
     params = config.purify_for(sweep_seed)
     scorer = p_bb = None
     if any(method != "baseline" for method in config.methods):
-        longest = max(lists)
-        scorer = SyntheticScorer(utt, lists[longest], vocab, noise, phis[longest])
+        scorer = SyntheticScorer(utt, lists[max(lists)], vocab, noise, phis[max(lists)])
     if "baseline" in config.methods:
         p_bb = synth_backbone(utt, noise, vocab)
 
@@ -100,38 +102,38 @@ def decode_one(
 
     outcomes = {}
     for m, biasing_list in lists.items():
-        phi = phis[m]
         # phrases count against the cell list, purified or not
         count = functools.cache(functools.partial(count_phrases, biasing_list=biasing_list))
-        for method in config.methods:
+        for base in dict.fromkeys(method.removesuffix("_pp") for method in config.methods):
             kept = None
             t0 = time.perf_counter()
-            if method == "baseline":
+            if base == "baseline":
                 hyp_bb = hyp_casr = hyp_final = greedy_decode(p_bb)
             else:
-                if method in PURIFY_METHODS:
-                    pick = gcp if "gcp" in method else ocp
+                if base in PURIFY_METHODS:
+                    pick = gcp if "gcp" in base else ocp
                     kept = pick(biasing_list, scorer, params).kept
                 bundle = scorer.bundle(np.arange(m) if kept is None else kept)
-                if method.startswith("attn"):
-                    res = attention_decode(bundle, biasing_list, phi)
+                if base == "attn":
+                    res = attention_decode(bundle, biasing_list, phis[m])
                 else:
-                    res = decode_utterance(bundle, biasing_list, phi, config.smoothing, kept)
+                    res = decode_utterance(bundle, biasing_list, phis[m], config.smoothing, kept)
                 hyp_bb, hyp_casr, hyp_final = res.hyp_bb, res.hyp_casr, res.hyp_final
             wall = time.perf_counter() - t0
 
-            hyp = hyp_final if method.endswith("_pp") else hyp_casr
-            outcomes[(m, method)] = UttOutcome(
-                uid=utt.uid,
-                hyp=hyp,
-                kept=None if kept is None else tuple(kept.indices.tolist()),
-                wall_seconds=wall,
-                edits=score(hyp)[1:],
-                count_bb=count(hyp_bb),
-                count_final=count(hyp_final),
-                cer_bb=score(hyp_bb)[0],
-                cer_final=score(hyp_final)[0],
-            )
+            for method, hyp in ((base, hyp_casr), (base + "_pp", hyp_final)):
+                if method in config.methods:
+                    outcomes[(m, method)] = UttOutcome(
+                        uid=utt.uid,
+                        hyp=hyp,
+                        kept=None if kept is None else tuple(kept.indices.tolist()),
+                        wall_seconds=wall,
+                        edits=score(hyp)[1:],
+                        count_bb=count(hyp_bb),
+                        count_final=count(hyp_final),
+                        cer_bb=score(hyp_bb)[0],
+                        cer_final=score(hyp_final)[0],
+                    )
     return outcomes
 
 
@@ -162,8 +164,7 @@ def _aggregate(
     total_err = np.zeros(3, dtype=int)
     ref_len = 0
     hyps, refs, spans = [], [], []
-    decode_seconds = 0.0
-    audio_seconds = 0.0
+    decode_seconds = audio_seconds = 0.0
     for out in outcomes:
         utt = by_uid[out.uid]
         total_err += out.edits
@@ -256,7 +257,6 @@ def run_sweep(
             for method in config.methods:
                 outcomes = [cells[(m, method)] for cells in per_task[i * n : (i + 1) * n]]
                 results[(method, m, sweep_seed)] = _aggregate(
-                    outcomes, corpus.utterances, biasing_list,
-                    method, m, sweep_seed, keep_outcomes,
+                    outcomes, corpus.utterances, biasing_list, method, m, sweep_seed, keep_outcomes
                 )
     return results

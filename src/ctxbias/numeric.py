@@ -5,6 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 
+def check_int(name: str, value) -> None:
+    """``ValueError`` naming the field unless ``value`` is an int or a numpy
+    integer: a float would be truncated where it is used (a seed of 1.5 runs
+    seed 1), and a bool passes for 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax along an axis.
 

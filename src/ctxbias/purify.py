@@ -20,6 +20,7 @@ import numpy as np
 
 from . import rng
 from .corpus import BiasingList, KeptSet, PhiMask
+from .numeric import check_int
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,8 @@ class PurifyParams:
     shuffle_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("group_size", "n_r", "n_top", "shuffle_seed"):
+            check_int(name, getattr(self, name))
         if self.group_size < 1 or self.n_r < 1 or self.n_top < 1:
             raise ValueError("group_size, n_r and n_top must be positive")
         if not (0.0 <= self.thres_list <= 1.0):

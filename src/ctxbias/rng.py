@@ -79,7 +79,10 @@ def _part_to_int(part: int | str) -> int:
         if not -(1 << 63) <= part < 1 << 63:
             raise OverflowError(f"stream key part {part} does not fit in int64")
         return part & _MASK
-    return int(np.int64(part).view(np.uint64))
+    if isinstance(part, np.integer):
+        return int(np.int64(part).view(np.uint64))
+    # a float seed would otherwise be truncated to a different stream
+    raise TypeError(f"stream key part {part!r} is not a str or an integer")
 
 
 def stream_key(*parts: int | str) -> np.uint64:

@@ -32,7 +32,7 @@ from . import rng
 from .bundle import CorrelationBundle, _check_values
 from .corpus import (BiasingList, KeptSet, PhiMask, Utterance, Vocabulary, build_phi,
                      validate_spans)
-from .numeric import expit, logit
+from .numeric import check_int, expit, logit
 
 # backbone row shape: primary mass on the reference token, a runner-up on
 # its confusable partner that nearly ties (homophones sound the same), the
@@ -86,6 +86,7 @@ class NoiseSpec:
     distractor_boost: float = 0.0
 
     def __post_init__(self) -> None:
+        check_int("seed", self.seed)
         for name in ("label_flip_rate", "confusion_rate", "distractor_boost"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from ctxbias import purify
 from ctxbias.bundle import save_bundle
 from ctxbias.harness import cli, config, corpusgen, report, runner
 from ctxbias.jointdecode import attention_decode, count_phrases, decode_utterance, greedy_decode
-from ctxbias.metrics import MetricsReport, cer, retention_rate
+from ctxbias.metrics import MetricsReport, cer, phrase_prf, retention_rate
 from ctxbias.simulate import SyntheticScorer, synth_backbone
 from ctxbias.smoothing import (
     estimate_phrase_length,
@@ -81,6 +82,17 @@ def test_config_validation():
             _small_config(score_jitter_sigma=sigma)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("n_utterances", 2.5), ("seed", 1.5), ("seed", True), ("n_seeds", 2.0), ("group_size", 75.0),
+     ("n_top", np.float64(10)), ("u_min", False), ("list_lengths", (51, 201.0))],
+)
+def test_config_rejects_a_float_or_bool_integer_field(name, value):
+    # a seed of 1.5 once ran seed 1, and 2.5 utterances passed for a count
+    with pytest.raises(ValueError, match=f"{name}( item)? must be an integer"):
+        _small_config(**{name: value})
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "exp.ini"
     config.save_config(_small_config(), path)
@@ -124,6 +136,27 @@ def test_cli_sweep_reports_the_unparsable_entry(tmp_path, capsys):
     assert err["error"] == "ValueError"
     assert "[corpus] n_utterances = '1.5'" in err["message"]
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    "saved, extra, named",
+    [
+        (False, "[DEFAULT]\nn_utterances = 5\n", r"\[DEFAULT\] entries .*'n_utterances'"),
+        (True, "[DEFAULT]\nn_utterances = 5\n", r"\[DEFAULT\] entries .*'n_utterances'"),
+        (True, "[extra]\n", r"unknown config sections \['extra'\]"),
+        (False, "[Corpus]\nn_utterances = 5\n", r"unknown config sections \['Corpus'\]"),
+    ],
+)
+def test_config_rejects_default_entries_and_unknown_sections(tmp_path, saved, extra, named):
+    """A [DEFAULT] entry would be read through every known section present,
+    or not at all; an unknown section, even an empty one, is a typo."""
+    path = tmp_path / "exp.ini"
+    if saved:
+        config.save_config(_small_config(), path)
+    path.write_text((path.read_text() if saved else "") + extra)
+    with pytest.raises(ValueError, match=named) as err:
+        config.load_config(path)
+    assert str(path) in str(err.value)
 
 
 @pytest.mark.parametrize("key", ["alpha", "gamma"])
@@ -412,11 +445,13 @@ def _sweep_matches_direct_recomputation(cfg):
     for (method, m, seed), cell in results.items():
         bl = corp.lists[m]
         edits = np.zeros(3, dtype=int)
+        hyps = []
         for o in cell.outcomes:
             utt = refs[o.uid]
             hyp_bb, hyp_casr, hyp_final, kept = _direct_decode(
                 utt, bl, corp.vocabulary, cfg, method, seed)
-            assert o.hyp == (hyp_final if method.endswith("_pp") else hyp_casr)
+            hyps.append(hyp_final if method.endswith("_pp") else hyp_casr)
+            assert o.hyp == hyps[-1]
             assert o.kept == kept
             assert o.edits == cer(o.hyp, utt.tokens)[1:]
             assert o.cer_bb == cer(hyp_bb, utt.tokens)[0]
@@ -427,6 +462,9 @@ def _sweep_matches_direct_recomputation(cfg):
         r = cell.report
         assert (r.substitutions, r.insertions, r.deletions) == tuple(edits)
         assert r.cer == edits.sum() / r.ref_length
+        utts = [refs[o.uid] for o in cell.outcomes]
+        assert (r.precision, r.recall, r.f1, r.tp, r.fp, r.fn) == phrase_prf(
+            hyps, [u.tokens for u in utts], [u.spans for u in utts], bl)
         # the slow form: an unpurified cell keeps the full list
         kept = [o.kept if o.kept is not None else tuple(range(bl.size)) for o in cell.outcomes]
         assert r.retention == retention_rate(kept, [refs[o.uid].spans for o in cell.outcomes])
@@ -526,6 +564,61 @@ def test_sweep_builds_one_scorer_per_utterance_seed(monkeypatch):
     baseline_only = config.ExperimentConfig(**{**cfg.__dict__, "methods": ("baseline",)})
     runner.run_sweep(baseline_only, corpus=corp)
     assert counts["scorers"] == 0
+
+
+def _untimed(cell):
+    """A cell's records without its clock."""
+    report = cell.report.to_dict()
+    del report["rtf"]
+    outcomes = [dataclasses.replace(o, wall_seconds=0.0) for o in cell.outcomes]
+    return report, cell.audio_seconds, cell.n_utterances, cell.m_pur_mean, outcomes
+
+
+def test_sweep_decodes_each_base_method_once_per_list(monkeypatch):
+    """A _pp cell reads the guard's choice from its base method's decode:
+    each base method is purified and decoded once per utterance, seed and
+    list, the twin cells share that decode's clock, and every cell equals,
+    timing aside, the cell of its method swept alone."""
+    cfg = _small_config(
+        n_utterances=4,
+        list_lengths=(51, 201),
+        methods=config.KNOWN_METHODS,
+        n_seeds=2,
+        score_jitter_sigma=0.2,
+        confusion_rate=0.4,
+        distractor_boost=0.3,
+    )
+    corp = corpusgen.generate_corpus(cfg)
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(runner, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("gcp", "ocp", "decode_utterance", "attention_decode", "greedy_decode"):
+        monkeypatch.setattr(runner, name, counted(name))
+    together = runner.run_sweep(cfg, corpus=corp, keep_outcomes=True)
+    monkeypatch.undo()
+    per_list = 4 * 2 * 2  # utterances x seeds x lists
+    # joint, joint_ocp and joint_gcp each run decode_utterance
+    assert calls == {"gcp": per_list, "ocp": per_list, "attention_decode": per_list,
+                     "greedy_decode": per_list, "decode_utterance": 3 * per_list}
+    twins = [(k, (k[0].removesuffix("_pp"), *k[1:])) for k in together if k[0].endswith("_pp")]
+    assert len(twins) == 4 * 2 * 2
+    for pp, base in twins:
+        assert [o.wall_seconds for o in together[pp].outcomes] == [
+            o.wall_seconds for o in together[base].outcomes]
+        assert together[pp].decode_seconds == together[base].decode_seconds
+    for method in cfg.methods:
+        alone = runner.run_sweep(dataclasses.replace(cfg, methods=(method,)), corpus=corp,
+                                 keep_outcomes=True)
+        assert len(alone) == 2 * 2
+        for key, cell in alone.items():
+            assert _untimed(cell) == _untimed(together[key]), key
 
 
 def test_sweep_rejects_lists_that_do_not_nest():

@@ -392,6 +392,10 @@ def test_params_validation():
         PurifyParams(group_size=0)
     with pytest.raises(ValueError):
         PurifyParams(thres_list=1.5)
+    for name in ("group_size", "n_r", "n_top", "shuffle_seed"):
+        for value in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                PurifyParams(**{name: value})
 
 
 def test_restriction_equals_its_from_scratch_builds():

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +146,13 @@ def test_stream_key_rejects_parts_outside_int64_like_reference():
             _ref_stream_key(part)
         with pytest.raises(OverflowError):
             rng.stream_key(7, part)
+
+
+@pytest.mark.parametrize("part", [1.5, np.float64(2.7), 2.0, None, b"7"])
+def test_stream_key_rejects_a_part_that_is_no_str_or_integer(part):
+    # a float seed once folded to its truncation: 1.5 drew seed 1's stream
+    with pytest.raises(TypeError, match=re.escape(repr(part))):
+        rng.stream_key(7, part)
 
 
 def test_fields_match_reference_bit_for_bit():

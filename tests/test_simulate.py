@@ -348,6 +348,10 @@ def test_noise_spec_validation():
         simulate.NoiseSpec(confusion_rate=1.5)
     with pytest.raises(ValueError):
         simulate.NoiseSpec(score_jitter_sigma=-0.1)
+    for seed in (1.5, np.float64(2.0), True):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            simulate.NoiseSpec(seed=seed)
+    assert simulate.NoiseSpec(seed=np.int64(3)).seed == 3
 
 
 def test_prefix_slice_of_longest_scorer_matches_fresh_scorer():
