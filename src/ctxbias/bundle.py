@@ -67,34 +67,38 @@ class CorrelationBundle:
 def _check_values(q_list, q_phr, q_tok, p_bb) -> None:
     """The value half of the bundle contract, for float64 arrays of any
     shape: everything finite and nonnegative, the correlations at most 1,
-    and the rows of q_tok and p_bb summing to 1 within 1e-9.
+    and the rows of q_tok and p_bb summing to 1 within 1e-9. An array
+    given as None is not checked (the scorer checks its phrase scores as
+    it draws them).
 
     NaN-propagating ``min``/``max`` and the row-sum test decide: a NaN
     fails every comparison, -inf fails the lower bound, and +inf fails the
     upper bound or makes its row sum infinite. Only when a check fails is
     the array-naming message worked out, by ``_explain_values``."""
     for a in (q_list, q_phr):
-        if not (a.min(initial=0.0) >= 0 and a.max(initial=0.0) <= 1):
+        if a is not None and not (a.min(initial=0.0) >= 0 and a.max(initial=0.0) <= 1):
             _explain_values(q_list, q_phr, q_tok, p_bb)
     for a in (q_tok, p_bb):
-        if not (a.min(initial=0.0) >= 0
-                and np.abs(a.sum(axis=-1) - 1.0).max(initial=0.0) <= 1e-9):
+        if a is not None and not (a.min(initial=0.0) >= 0
+                                  and np.abs(a.sum(axis=-1) - 1.0).max(initial=0.0) <= 1e-9):
             _explain_values(q_list, q_phr, q_tok, p_bb)
 
 
 def _explain_values(q_list, q_phr, q_tok, p_bb) -> None:
     """The value contract checked one clause at a time, raising
     ``ValueError`` with the first failing array and clause."""
-    for name, a in (("q_list", q_list), ("q_phr", q_phr), ("q_tok", q_tok), ("p_bb", p_bb)):
+    named = [(name, a) for name, a in (("q_list", q_list), ("q_phr", q_phr), ("q_tok", q_tok),
+                                       ("p_bb", p_bb)) if a is not None]
+    for name, a in named:
         if not np.isfinite(a).all():
             raise ValueError(f"{name} contains non-finite values")
         if a.min(initial=0.0) < 0:
             raise ValueError(f"{name} contains negative values")
-    for name, a in (("q_list", q_list), ("q_phr", q_phr)):
-        if a.max(initial=0.0) > 1:
-            raise ValueError(f"{name} holds correlations above 1")
-    for name, a in (("q_tok", q_tok), ("p_bb", p_bb)):
-        if np.abs(a.sum(axis=-1) - 1.0).max(initial=0.0) > 1e-9:
+    for name, a in named:
+        if name in ("q_list", "q_phr"):
+            if a.max(initial=0.0) > 1:
+                raise ValueError(f"{name} holds correlations above 1")
+        elif np.abs(a.sum(axis=-1) - 1.0).max(initial=0.0) > 1e-9:
             raise ValueError(f"{name} rows must sum to 1")
     raise AssertionError("a failed value check found no failing clause")
 

@@ -12,7 +12,7 @@ import configparser
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from ..numeric import check_int
+from ..numeric import check_float, check_int
 from ..purify import PurifyParams
 from ..simulate import NoiseSpec
 from ..smoothing import SmoothingParams
@@ -61,9 +61,21 @@ class ExperimentConfig:
     outdir: str = "runs"
 
     def __post_init__(self) -> None:
+        # every field must come back from its INI text as it was given: a
+        # bool or a list would be saved as text that does not load, and
+        # configparser strips what surrounds a value
         for f in fields(self):
+            value = getattr(self, f.name)
             if f.type == "int":
-                check_int(f.name, getattr(self, f.name))
+                check_int(f.name, value)
+            elif f.type == "float":
+                check_float(f.name, value)
+            elif f.type == "str":
+                if not isinstance(value, str) or value != value.strip():
+                    raise ValueError(f"{f.name} must be a str without surrounding whitespace, "
+                                     f"got {value!r}")
+            elif not isinstance(value, tuple):
+                raise ValueError(f"{f.name} must be a tuple, got {value!r}")
         for m in self.list_lengths:
             check_int("a list_lengths item", m)
         if self.n_utterances < 1:
@@ -148,10 +160,11 @@ _SECTIONS = {
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
-def _format_value(value) -> str:
+def _format_value(name: str, value) -> str:
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
-    return repr(value) if isinstance(value, float) else str(value)
+    # an int given for a float field is written as the float it loads as
+    return repr(float(value)) if _FIELD_TYPES[name] == "float" else str(value)
 
 
 def _parse_value(name: str, raw: str):
@@ -173,15 +186,16 @@ def _parse_value(name: str, raw: str):
 
 
 def save_config(config: ExperimentConfig, path) -> None:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for section, names in _SECTIONS.items():
-        parser[section] = {n: _format_value(getattr(config, n)) for n in names}
+        parser[section] = {n: _format_value(n, getattr(config, n)) for n in names}
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
 
 
 def load_config(path) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    # no interpolation: a value is read as it was written, a % included
+    parser = configparser.ConfigParser(interpolation=None)
     read = parser.read(path, encoding="utf-8")
     if not read:
         raise ValueError(f"cannot read config file {path}")

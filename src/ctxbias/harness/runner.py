@@ -22,8 +22,11 @@ method asks for it, score slicing for the surviving sublist, and decoding.
 Producing the correlation scores themselves is the scorer's forward pass,
 i.e. model inference, so it stays outside the clock, as do corpus
 generation, the outcome's tuple of kept indices, metric computation, and
-I/O. With several workers the recorded decode time is the sum of
-per-utterance walls rather than elapsed wall clock.
+I/O. The scorer draws a phrase column the first time a query reads it, so
+part of that forward pass runs inside a timed section: ``decode_one``
+subtracts the growth of the scorer's ``draw_seconds`` from each section.
+With several workers the recorded decode time is the sum of per-utterance
+walls rather than elapsed wall clock.
 """
 
 from __future__ import annotations
@@ -106,6 +109,9 @@ def decode_one(
         count = functools.cache(functools.partial(count_phrases, biasing_list=biasing_list))
         for base in dict.fromkeys(method.removesuffix("_pp") for method in config.methods):
             kept = None
+            # the scorer draws a phrase column when a query first reads it;
+            # that is its forward pass, so the draw's seconds leave the clock
+            drawn = scorer.draw_seconds if scorer is not None else 0.0
             t0 = time.perf_counter()
             if base == "baseline":
                 hyp_bb = hyp_casr = hyp_final = greedy_decode(p_bb)
@@ -120,6 +126,8 @@ def decode_one(
                     res = decode_utterance(bundle, biasing_list, phis[m], config.smoothing, kept)
                 hyp_bb, hyp_casr, hyp_final = res.hyp_bb, res.hyp_casr, res.hyp_final
             wall = time.perf_counter() - t0
+            if scorer is not None:
+                wall -= scorer.draw_seconds - drawn
 
             for method, hyp in ((base, hyp_casr), (base + "_pp", hyp_final)):
                 if method in config.methods:

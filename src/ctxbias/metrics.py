@@ -47,20 +47,23 @@ def cer(hyp, ref) -> tuple[float, int, int, int]:
     h, r = len(hyp), len(ref)
     # Substituting over the common length and then inserting or deleting the
     # rest is an alignment, so w bounds the distance. A path through a cell
-    # more than w off the diagonal costs more than w, so no optimal path, and
-    # no backtrace equality, reaches one: the DP runs over the band of
-    # half-width w only, with cells outside it held above any distance.
+    # at offset k = j - i pays at least |k| + |k - (r - h)| insertions and
+    # deletions to get there and on to the end, so no optimal path, and no
+    # backtrace equality, reaches an offset beyond (w + |h - r|) / 2: the DP
+    # runs over the band of that half-width only, with cells outside it held
+    # above any distance.
     w = sum(map(ne, hyp, ref)) + abs(h - r)
+    band = (w + abs(h - r)) // 2
     far = h + r + 1
     dist = [[far] * (r + 1) for _ in range(h + 1)]
-    dist[0][: w + 1] = range(min(w, r) + 1)
+    dist[0][: band + 1] = range(min(band, r) + 1)
     for i in range(1, h + 1):
         row, prev = dist[i], dist[i - 1]
-        if i <= w:
+        if i <= band:
             row[0] = i
         hi = hyp[i - 1]
-        left = row[max(i - w, 1) - 1]
-        for j in range(max(i - w, 1), min(i + w, r) + 1):
+        left = row[max(i - band, 1) - 1]
+        for j in range(max(i - band, 1), min(i + band, r) + 1):
             d = prev[j - 1] + (hi != ref[j - 1])
             if prev[j] < d:
                 d = prev[j] + 1

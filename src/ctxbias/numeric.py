@@ -13,6 +13,15 @@ def check_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def check_float(name: str, value) -> None:
+    """``ValueError`` naming the field unless ``value`` is a real number (an
+    int, a float, or a numpy integer or float): a bool passes for 0 or 1,
+    and a config would run a rate of 1.0 that it cannot save and load."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax along an axis.
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import rng
 from .corpus import BiasingList, KeptSet, PhiMask
-from .numeric import check_int
+from .numeric import check_float, check_int
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,7 @@ class PurifyParams:
     def __post_init__(self) -> None:
         for name in ("group_size", "n_r", "n_top", "shuffle_seed"):
             check_int(name, getattr(self, name))
+        check_float("thres_list", self.thres_list)
         if self.group_size < 1 or self.n_r < 1 or self.n_top < 1:
             raise ValueError("group_size, n_r and n_top must be positive")
         if not (0.0 <= self.thres_list <= 1.0):

@@ -18,12 +18,16 @@ Noise channels:
 All randomness is counter-based (see rng.py): a draw depends only on the
 seed, a channel tag, the utterance id, and the cell coordinates. Scores for
 a subset of phrases are therefore bit-identical slices of the full-list
-scores, which purification's group scoring relies on.
+scores, which purification's group scoring relies on, and a phrase column
+can be drawn the first time a query reads it: the scorer draws only the
+columns a purified decode reads, and its answers are the bits a scorer
+that drew every column at once would give.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +36,7 @@ from . import rng
 from .bundle import CorrelationBundle, _check_values
 from .corpus import (BiasingList, KeptSet, PhiMask, Utterance, Vocabulary, build_phi,
                      validate_spans)
-from .numeric import check_int, expit, logit
+from .numeric import check_float, check_int, expit, logit
 
 # backbone row shape: primary mass on the reference token, a runner-up on
 # its confusable partner that nearly ties (homophones sound the same), the
@@ -69,6 +73,15 @@ PHRASE_JITTER_FLOOR = 6e-3
 
 TOKEN_JITTER_GAIN = 0.5
 
+# phrase columns are drawn on first read (SyntheticScorer._fill). A draw
+# costs some tens of microseconds besides its cells, about what 2000 cells
+# of the grid cost: so a grid smaller than LAZY_MIN_CELLS (M=51 at any U the
+# corpus makes, not M=201) is drawn whole at its first read, and a request
+# for at least DRAW_REST_SHARE of the columns still undrawn draws them all,
+# since the few it would skip do not pay for another draw
+LAZY_MIN_CELLS = 2000
+DRAW_REST_SHARE = 0.5
+
 # every normal draw lies within sqrt(-2 log 2**-53) < 8.6 of 0, and exp is
 # finite and nonzero on [-700, 700]
 _Z_BOUND = 8.6
@@ -87,6 +100,8 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         check_int("seed", self.seed)
+        for name in ("label_flip_rate", "score_jitter_sigma", "confusion_rate", "distractor_boost"):
+            check_float(name, getattr(self, name))
         for name in ("label_flip_rate", "confusion_rate", "distractor_boost"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
@@ -152,10 +167,14 @@ def _confusion_mask(utt: Utterance, spec: NoiseSpec, span_mask: np.ndarray) -> n
 class SyntheticScorer:
     """Ground-truth-derived correlation scores for one utterance.
 
-    Precomputes per-(step, phrase) evidence against the full biasing list;
-    every query (the full bundle, or any phrase subset during purification)
-    slices the same cached arrays, so a phrase's score never depends on
-    which other phrases it is scored with.
+    The build computes the list channel, the token scores, the backbone and
+    the few (step, phrase) cells of the phrase head that hold evidence. A
+    phrase column's scores are drawn the first time a query (the full
+    bundle, a prefix, or a phrase subset during purification) reads it, and
+    kept; every query slices the kept columns, so a phrase's score never
+    depends on which other phrases it is scored with or what was asked
+    before. The draw is the scorer's forward pass: ``draw_seconds`` totals
+    its time, so that a decode clock can leave it out.
     """
 
     def __init__(
@@ -180,7 +199,14 @@ class SyntheticScorer:
         refs, partners = _refs_and_partners(utt, vocab)
         confused = _confusion_mask(utt, spec, span_mask) & (partners != refs)
         ev_cols, self._ev_rank = self._list_evidence()
-        self._q_phr = self._build_phrase_scores(span_mask, ev_cols)
+        self._ev_cells = self._phrase_evidence(span_mask, ev_cols)
+        self._qphr_key = rng.stream_key(spec.seed, "qphr", utt.uid)
+        # the phrase scores, (U, M): a column is drawn the first time a query
+        # reads it (see _read)
+        self._q_phr = None
+        self._drawn = np.zeros(self._m, dtype=bool)
+        self._undrawn = self._m
+        self.draw_seconds = 0.0
         self._q_tok = self._build_token_scores(refs, partners, confused)
         self._p_bb = _backbone_rows(refs, partners, confused, vocab.size)
         # every bundle shares these two; they are never written after the build
@@ -206,8 +232,9 @@ class SyntheticScorer:
         self._ev_slot[ev_cols] = np.arange(len(ev_cols))
         self._steps = np.arange(u)
         # everything a query hands out is taken from these arrays, so they are
-        # held to the bundle contract once, here
-        _check_values(self._list_table, self._q_phr, self._q_tok, self._p_bb)
+        # held to the bundle contract once, here; phrase columns are held to
+        # it as they are drawn
+        _check_values(self._list_table, None, self._q_tok, self._p_bb)
 
     # -- evidence construction ------------------------------------------
 
@@ -229,35 +256,32 @@ class SyntheticScorer:
             col[s.start : s.end] = _SPAN_RANK
         return cols, rank
 
-    def _build_phrase_scores(self, span_mask: np.ndarray, ev_cols: list[int]) -> np.ndarray:
-        # the phrase head sees the same span evidence as the list channel,
-        # boundary bleed included; spans never point at the no-bias column,
-        # which holds the off-span steps instead
-        ev = np.zeros((self._u, self._m))
-        ev[:, ev_cols] = EVIDENCE_LEVELS[self._ev_rank]
+    def _phrase_evidence(self, span_mask: np.ndarray, ev_cols: list[int]):
+        """The cells of the phrase head's (U, M) evidence that hold any, as
+        their steps, columns and values. The phrase head sees the same span
+        evidence as the list channel, boundary bleed included; spans never
+        point at the no-bias column, which holds the off-span steps instead.
+        Only the columns that can hold evidence are built."""
+        sharers = []
+        if self.spec.distractor_boost > 0.0:
+            sharers = [self.phi.overlaps(s.phrase)[0] for s in self.utt.spans]
+        mark = np.zeros(self._m, dtype=bool)
+        mark[0] = True
+        mark[ev_cols] = True
+        for sharer in sharers:
+            mark[sharer] = True
+        cols = mark.nonzero()[0]
+        ev = np.zeros((self._u, cols.size))
+        ev[:, cols.searchsorted(ev_cols)] = EVIDENCE_LEVELS[self._ev_rank]
         ev[:, 0] = ~span_mask
-        if self.spec.distractor_boost > 0.0 and self.utt.spans:
-            self._apply_distractors(ev)
-        sigma = self.spec.score_jitter_sigma
-        if sigma == 0.0:
-            return ev
-        # the list channel's logit-space jitter, with the phrase head's gain
-        # and floor, written into the noise field: a cell without
-        # evidence clips to the floor, so all such cells share one logit, and
-        # only the few cells with evidence need their own
-        z = rng.normal_field(rng.stream_key(self.spec.seed, "qphr", self.utt.uid),
-                             np.arange(self._u), np.arange(self._m))
-        z *= PHRASE_JITTER_GAIN * sigma
-        flat, ev = z.reshape(-1), ev.reshape(-1)
-        cells = (ev != 0.0).nonzero()[0]  # a bool scan beats np.flatnonzero on floats
-        shift = flat[cells]
-        base = logit(np.clip(np.append(0.0, ev[cells]), PHRASE_JITTER_FLOOR, JITTER_CAP))
-        flat += base[0]
-        flat[cells] = base[1:] + shift
-        return expit(z)
+        if sharers:
+            self._apply_distractors(ev, cols)
+        rows, at = (ev != 0.0).nonzero()
+        return rows, cols[at], ev[rows, at]
 
-    def _apply_distractors(self, ev: np.ndarray) -> None:
-        """Raise phrase scores for phrases overlapping a gold phrase.
+    def _apply_distractors(self, ev: np.ndarray, ev_cols: np.ndarray) -> None:
+        """Raise phrase scores for phrases overlapping a gold phrase, in
+        ``ev``, whose columns are the list columns ``ev_cols`` (ascending).
 
         At a gold-span step, a phrase sharing tokens with that gold phrase
         gets a score of boost**r * frac**3, r uniform in (0,1], frac the
@@ -279,9 +303,85 @@ class SyntheticScorer:
             r *= log_boost
             vals = np.exp(r, out=r)
             vals *= frac**3
-            block = ev[s.start : s.end, cols]
+            at = ev_cols.searchsorted(cols)
+            block = ev[s.start : s.end, at]
             np.maximum(block, vals, out=block)
-            ev[s.start : s.end, cols] = block
+            ev[s.start : s.end, at] = block
+
+    def _draw(self, cols: np.ndarray | None) -> np.ndarray:
+        """The phrase scores of the columns ``cols`` (ascending), or of every
+        column for None: a fresh (U, columns) array, held to the bundle
+        contract. The jitter is the block ``cols`` of one (U, M) field, so a
+        column's scores do not depend on the columns drawn with it."""
+        rows, at, vals = self._ev_cells
+        width = self._m
+        if cols is not None:
+            # the evidence cells in the drawn columns, at their block positions
+            pos = cols.searchsorted(at)
+            hit = cols.take(pos, mode="clip") == at
+            rows, at, vals, width = rows[hit], pos[hit], vals[hit], cols.size
+        cells = rows * width + at
+        sigma = self.spec.score_jitter_sigma
+        if sigma == 0.0:
+            block = np.zeros((self._u, width))
+            block.reshape(-1)[cells] = vals
+        else:
+            # the list channel's logit-space jitter, with the phrase head's
+            # gain and floor, written into the noise field: a cell without
+            # evidence clips to the floor, so all such cells share one logit,
+            # and only the few cells with evidence need their own
+            z = rng.normal_field(self._qphr_key, self._steps,
+                                 np.arange(width) if cols is None else cols)
+            z *= PHRASE_JITTER_GAIN * sigma
+            flat = z.reshape(-1)
+            shift = flat[cells]
+            base = logit(np.clip(np.concatenate(([0.0], vals)), PHRASE_JITTER_FLOOR, JITTER_CAP))
+            flat += base[0]
+            flat[cells] = base[1:] + shift
+            block = expit(z)
+        _check_values(None, block, None, None)
+        return block
+
+    def _read(self, members: np.ndarray, prefix: bool = False) -> np.ndarray:
+        """The phrase scores of ``members`` (original indices), drawing the
+        columns not drawn yet first; ``prefix`` marks a prefix bundle."""
+        if self._q_phr is None or self._undrawn and not self._drawn[members].all():
+            self._fill(members, prefix)
+        # take copies in C order; fancy column indexing would return an
+        # F-ordered matrix
+        return self._q_phr.take(members, axis=1)
+
+    def _fill(self, members: np.ndarray, prefix: bool) -> None:
+        """Draw the undrawn columns of ``members``, and the no-bias column
+        with the first draw, since every bundle reads it. A prefix bundle
+        (an unpurified decode reads one, and a sweep reads every prefix in
+        turn), a small grid, or a request for at least DRAW_REST_SHARE of
+        the undrawn columns draws every undrawn column instead. The draw's
+        seconds are added to ``draw_seconds``."""
+        t0 = time.perf_counter()
+        cols = None
+        if not (prefix or self._u * self._m < LAZY_MIN_CELLS):
+            want = np.zeros(self._m, dtype=bool)
+            want[members] = True
+            want[0] = True
+            want[self._drawn] = False
+            cols = want.nonzero()[0]
+            if cols.size >= DRAW_REST_SHARE * self._undrawn:
+                cols = None
+        if cols is None and self._q_phr is not None:
+            cols = (~self._drawn).nonzero()[0]
+        block = self._draw(cols)
+        if cols is None:
+            self._q_phr = block
+            self._drawn[:] = True
+            self._undrawn = 0
+        else:
+            if self._q_phr is None:
+                self._q_phr = np.empty((self._u, self._m))
+            self._q_phr[:, cols] = block
+            self._drawn[cols] = True
+            self._undrawn -= cols.size
+        self.draw_seconds += time.perf_counter() - t0
 
     def _build_token_scores(self, refs, partners, confused) -> np.ndarray:
         u, v = refs.size, self.vocab.size
@@ -340,28 +440,29 @@ class SyntheticScorer:
         return self.q_list_groups(members, np.size(members) or 1)[0]
 
     def q_phr_for(self, members) -> np.ndarray:
-        # take copies in C order; fancy column indexing would return an
-        # F-ordered matrix
-        return self._q_phr.take(np.asarray(members, dtype=np.intp), axis=1)
+        return self._read(np.asarray(members, dtype=np.intp))
 
     def bundle(self, members=None) -> CorrelationBundle:
         """Full scorer output against the list, or against the sublist of the
         given original indices (a prefix ``np.arange(m)`` is the list's first
         m entries). ``q_tok`` and ``p_bb`` are read-only views shared by every
-        bundle of this scorer. Every array is taken from the arrays checked
-        against the bundle contract when the scorer was built, so the bundle
-        is not checked again. The indices are a ``KeptSet`` of this list or of
+        bundle of this scorer. Every array is taken from arrays checked
+        against the bundle contract when the scorer was built, or, for the
+        phrase scores, when their columns were drawn, so the bundle is not
+        checked again. The indices are a ``KeptSet`` of this list or of
         a shorter one (a prefix, as in a sweep), or are checked by
         ``KeptSet.of``."""
+        # a purified decode hands over its KeptSet; a prefix comes as indices
         if members is None:
-            members = np.arange(self._m, dtype=np.intp)
+            members, prefix = np.arange(self._m, dtype=np.intp), True
         elif isinstance(members, KeptSet) and members.members.size <= self._m:
-            members = members.indices
+            members, prefix = members.indices, False
         else:
             members = KeptSet.of(members, self._m).indices
+            prefix = members[-1] == members.size - 1
         return CorrelationBundle._of_checked(
             q_list=self.q_list_for(members),
-            q_phr=self.q_phr_for(members),
+            q_phr=self._read(members, prefix),
             q_tok=self._q_tok.view(),
             p_bb=self._p_bb.view(),
         )

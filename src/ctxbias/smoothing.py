@@ -14,12 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numeric import check_float
+
 
 @dataclass(frozen=True)
 class SmoothingParams:
     omega: float = 0.6
 
     def __post_init__(self) -> None:
+        check_float("omega", self.omega)
         if not (0.0 <= self.omega <= 1.0):
             raise ValueError("omega must lie in [0,1]")
 

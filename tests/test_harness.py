@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from ctxbias import corpus as corpus_mod
-from ctxbias import purify
+from ctxbias import purify, rng, simulate
 from ctxbias.bundle import save_bundle
 from ctxbias.harness import cli, config, corpusgen, report, runner
 from ctxbias.jointdecode import attention_decode, count_phrases, decode_utterance, greedy_decode
@@ -91,6 +92,61 @@ def test_config_rejects_a_float_or_bool_integer_field(name, value):
     # a seed of 1.5 once ran seed 1, and 2.5 utterances passed for a count
     with pytest.raises(ValueError, match=f"{name}( item)? must be an integer"):
         _small_config(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "name, value, named",
+    [("score_jitter_sigma", True, "score_jitter_sigma must be a real number"),
+     ("span_rate", np.False_, "span_rate must be a real number"),
+     ("omega", True, "omega must be a real number"),
+     ("thres_list", "0.5", "thres_list must be a real number"),
+     ("list_lengths", [51, 201], "list_lengths must be a tuple"),
+     ("methods", ["joint"], "methods must be a tuple"),
+     ("outdir", " runs", "outdir must be a str without surrounding whitespace"),
+     ("outdir", Path("runs"), "outdir must be a str")],
+)
+def test_config_rejects_a_value_it_could_not_save_and_load(name, value, named):
+    # a bool ran as a rate of 1.0 and a list was saved as text that does not
+    # load; neither is converted quietly
+    with pytest.raises(ValueError, match=named):
+        _small_config(**{name: value})
+
+
+def _random_config(gen, case):
+    """A valid config with every field drawn, numpy scalars and ints for
+    floats among the values."""
+    def real(hi=1.0):
+        value = float(gen.random() * hi)
+        return [value, np.float64(value), int(value), 0, -0.0, 5e-324][int(gen.integers(0, 6))]
+
+    def integer(lo, hi):
+        value = int(gen.integers(lo, hi))
+        return np.int64(value) if gen.random() < 0.3 else value
+
+    u_min = int(gen.integers(7, 30))
+    lengths = sorted({int(m) for m in gen.integers(51, 3000, size=int(gen.integers(1, 5)))})
+    methods = gen.permutation(config.KNOWN_METHODS)[: int(gen.integers(1, 10))]
+    outdirs = ["runs", "a b/c d", "runs%1", "x;y#z", "", "deep/[x]=y", "multi\nline"]
+    return config.ExperimentConfig(
+        n_utterances=integer(1, 1000), u_min=u_min, u_max=u_min + int(gen.integers(0, 10)),
+        n_chars=integer(20, 300), span_rate=real(), two_span_rate=real(),
+        list_lengths=tuple(lengths), label_flip_rate=real(), score_jitter_sigma=real(5.0),
+        confusion_rate=real(), distractor_boost=real(), omega=real(), group_size=integer(1, 200),
+        n_r=integer(1, 5), thres_list=real(), n_top=integer(1, 30),
+        methods=tuple(methods.tolist() if case % 2 else methods), n_seeds=integer(1, 5),
+        seed=integer(0, 1 << 40), outdir=outdirs[case % len(outdirs)] + str(case))
+
+
+def test_every_config_saves_and_loads_back_and_saves_the_same_bytes(tmp_path):
+    gen = np.random.default_rng(41)
+    for case in range(80):
+        cfg = _random_config(gen, case)
+        first, second = tmp_path / f"{case}a.ini", tmp_path / f"{case}b.ini"
+        config.save_config(cfg, first)
+        loaded = config.load_config(first)
+        assert loaded == cfg, case
+        config.save_config(loaded, second)
+        assert second.read_bytes() == first.read_bytes(), case
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -619,6 +675,33 @@ def test_sweep_decodes_each_base_method_once_per_list(monkeypatch):
         assert len(alone) == 2 * 2
         for key, cell in alone.items():
             assert _untimed(cell) == _untimed(together[key]), key
+
+
+def test_the_decode_clock_leaves_the_scorer_draw_out(monkeypatch):
+    """The scorer draws a phrase column when a query first reads it, inside
+    decode_one's clock; the draw is the scorer's forward pass, so its seconds
+    leave the clock. With every normal draw slowed by 10 ms, no cell's clock
+    comes near the time slept, and every cell equals an unslowed run's."""
+    cfg = _small_config(n_utterances=8, list_lengths=(51, 201), methods=("joint_gcp", "joint"),
+                        score_jitter_sigma=0.1, confusion_rate=0.3, distractor_boost=0.3)
+    corp = corpusgen.generate_corpus(cfg)
+    plain = runner.run_sweep(cfg, corpus=corp, keep_outcomes=True)
+    draw, slept = rng.normal_field, []
+
+    def slow(*args, **kwargs):
+        time.sleep(0.01)
+        slept.append(0.01)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(simulate.rng, "normal_field", slow)
+    slowed = runner.run_sweep(cfg, corpus=corp, keep_outcomes=True)
+    monkeypatch.undo()
+    # a list and a noise draw per build, and at least one phrase draw per
+    # utterance inside the first cell's clock
+    assert len(slept) >= 3 * 8
+    for key, cell in slowed.items():
+        assert cell.decode_seconds < 0.1 * sum(slept), key
+        assert _untimed(cell) == _untimed(plain[key]), key
 
 
 def test_sweep_rejects_lists_that_do_not_nest():

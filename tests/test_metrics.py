@@ -94,7 +94,8 @@ def test_cer_identical_fast_path_matches_full_dp():
     DP, on the band's edge cases: unequal lengths up to the whole length
     difference, an empty hypothesis, edits at either end, adjacent swaps
     (two substitutions tie with a deletion plus an insertion), no shared
-    token, and what a noisy sweep scores."""
+    token, shifts whose optimal paths reach the band's half-width, random
+    short pairs over small alphabets, and what a noisy sweep scores."""
     rng = np.random.default_rng(3)
     pairs = [((1,), (1,)), ((4, 4, 4), (4, 4, 4)), ([1, 2, 3], (1, 2, 3))]
     for _ in range(200):
@@ -120,6 +121,15 @@ def test_cer_identical_fast_path_matches_full_dp():
             if hyp:
                 hyp[rng.integers(0, len(hyp))] = int(rng.integers(0, 3))
         pairs += [(tuple(hyp), ref), (ref, tuple(hyp) or (0,))]
+    for _ in range(20000):  # short sequences over 1 to 4 symbols, every shape
+        symbols = int(rng.integers(1, 5))
+        hyp = tuple(rng.integers(0, symbols, size=rng.integers(0, 15)).tolist())
+        pairs.append((hyp, tuple(rng.integers(0, symbols, size=rng.integers(1, 13)).tolist())))
+    for n in range(1, 13):  # optimal paths out to the band's half-width, ties included
+        ref = tuple(range(n))
+        for k in range(n // 2 + 1):
+            shifted = ref[k:] + tuple(range(20, 20 + k))
+            pairs += [(shifted, ref), (ref, shifted), (shifted[:-1], ref), (ref, shifted[1:] or ref)]
     sweep = _noisy_sweep_pairs()
     assert any(hyp != ref for hyp, ref in sweep)
     for hyp, ref in pairs + sweep:

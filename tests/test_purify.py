@@ -396,6 +396,9 @@ def test_params_validation():
         for value in (2.5, 3.0, True):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 PurifyParams(**{name: value})
+    for value in (True, np.False_, "0.5"):
+        with pytest.raises(ValueError, match="thres_list must be a real number"):
+            PurifyParams(thres_list=value)
 
 
 def test_restriction_equals_its_from_scratch_builds():

@@ -1,13 +1,15 @@
 """The lean scorer build and the fast value check against the parent build,
 kept verbatim in ``parent_build``: every field bit for bit, every check
-outcome and message the same."""
+outcome and message the same. The scorer draws a phrase column the first
+time a query reads it; the parent draws every column when it is built, so
+it is the oracle for every answer, whatever was asked before."""
 
 import numpy as np
 import parent_build
 import pytest
 
 from ctxbias import bundle as contract
-from ctxbias import corpus, simulate
+from ctxbias import corpus, purify, rng, simulate
 from ctxbias.harness.config import ExperimentConfig
 from ctxbias.harness.corpusgen import generate_corpus
 
@@ -56,7 +58,8 @@ def _utterances(u, phrases, gen, vocab):
 
 def _assert_same_build(new, old):
     for name in ("_q_phr", "_q_tok", "_p_bb"):
-        a, b = getattr(new, name), getattr(old, name)
+        a = new.q_phr_for(np.arange(new._m)) if name == "_q_phr" else getattr(new, name)
+        b = getattr(old, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
     assert not new._q_tok.flags.writeable and not new._p_bb.flags.writeable
     # the list table and its ranks: the same evidence columns, and per column
@@ -159,6 +162,80 @@ def _compare_wide_jitter(vocab, bl, phrases, gen, outcomes):
                     continue
                 _assert_same_build(simulate.SyntheticScorer(utt, bl, vocab, spec), old)
                 outcomes.add("built")
+
+
+def _same(a, b, what):
+    assert (a.dtype, a.shape, a.flags.c_contiguous) == (b.dtype, b.shape, b.flags.c_contiguous), what
+    assert a.tobytes() == b.tobytes(), what
+
+
+def _same_bundle(new, old, what):
+    for name in ("q_list", "q_phr", "q_tok", "p_bb"):
+        _same(getattr(new, name), getattr(old, name), (what, name))
+
+
+@pytest.mark.parametrize("spec_name", sorted(SPECS))
+def test_scorer_drawing_on_first_read_answers_as_the_eager_build(spec_name, corp):
+    """Each noise channel alone and all of them, on the corpus utterances at
+    M = 1196: phrase scores of random members in random order with repeats,
+    then every prefix bundle; the prefix ladder 51 -> 201 -> 601 -> 1196 by
+    ``q_phr_for`` on a fresh scorer (partial draws, then the rest); and the
+    kept bundles after ``gcp`` and ``ocp`` on a small grid (M = 51, drawn
+    whole), on a short list of the longest scorer (as a sweep reads it) and
+    on the longest list."""
+    spec, vocab = SPECS[spec_name], corp.vocabulary
+    longest = corp.lists[1196]
+    phis = {m: corpus.build_phi(corp.lists[m], vocab) for m in (51, 1196)}
+    gen = np.random.default_rng(31)
+    params = purify.PurifyParams()
+    for utt in corp.utterances:
+        old = parent_build.SyntheticScorer(utt, longest, vocab, spec, phis[1196])
+        new = simulate.SyntheticScorer(utt, longest, vocab, spec, phis[1196])
+        for _ in range(6):
+            members = gen.integers(0, 1196, size=int(gen.integers(1, 120)))
+            members = np.concatenate([members, members[: int(gen.integers(0, members.size))]])
+            gen.shuffle(members)
+            _same(new.q_phr_for(members), old.q_phr_for(members), "q_phr_for")
+        for m in (51, 201, 601, 1196):
+            _same_bundle(new.bundle(np.arange(m)), old.bundle(np.arange(m)), m)
+        new = simulate.SyntheticScorer(utt, longest, vocab, spec, phis[1196])
+        for m in (51, 201, 601, 1196):
+            _same(new.q_phr_for(np.arange(m)), old.q_phr_for(np.arange(m)), m)
+        assert new._undrawn == 0
+        for scorer_m, list_m in ((51, 51), (1196, 201), (1196, 1196)):
+            bl = corp.lists[list_m]
+            old = parent_build.SyntheticScorer(utt, corp.lists[scorer_m], vocab, spec,
+                                               phis[scorer_m])
+            for pick in (purify.gcp, purify.ocp):
+                new = simulate.SyntheticScorer(utt, corp.lists[scorer_m], vocab, spec,
+                                               phis[scorer_m])
+                kept = pick(bl, new, params).kept
+                assert kept == pick(bl, old, params).kept
+                _same_bundle(new.bundle(kept), old.bundle(kept.indices), (scorer_m, list_m))
+
+
+def test_a_bad_drawn_phrase_score_raises_at_the_query(corp, monkeypatch):
+    """A draw is held to the bundle contract before anything hands it out: a
+    NaN in a phrase column's noise raises ``ValueError`` naming q_phr at
+    every query that reads the column, and nothing is kept as drawn."""
+    vocab, bl = corp.vocabulary, corp.lists[1196]
+    spec = simulate.NoiseSpec(seed=5, score_jitter_sigma=0.4)
+    draw = rng.normal_field
+
+    def poisoned(key, index, cols=None):
+        z = draw(key, index, cols)
+        if cols is not None:  # a phrase-column draw; the list noise has no columns
+            z[-1, -1] = np.nan
+        return z
+
+    monkeypatch.setattr(rng, "normal_field", poisoned)
+    utt = next(u for u in corp.utterances if u.spans)
+    scorer = simulate.SyntheticScorer(utt, bl, vocab, spec)
+    for query in (lambda: scorer.q_phr_for([7, 3, 7]), lambda: scorer.bundle(np.arange(51)),
+                  lambda: scorer.q_phr_for(np.arange(1196)), lambda: scorer.bundle()):
+        with pytest.raises(ValueError, match="q_phr contains non-finite values"):
+            query()
+    assert scorer._q_phr is None and scorer._undrawn == 1196
 
 
 def _outcome(check, arrays):

@@ -352,6 +352,10 @@ def test_noise_spec_validation():
         with pytest.raises(ValueError, match="seed must be an integer"):
             simulate.NoiseSpec(seed=seed)
     assert simulate.NoiseSpec(seed=np.int64(3)).seed == 3
+    for name in ("label_flip_rate", "score_jitter_sigma", "confusion_rate", "distractor_boost"):
+        for value in (True, np.True_, "0.5", None):
+            with pytest.raises(ValueError, match=f"{name} must be a real number"):
+                simulate.NoiseSpec(**{name: value})
 
 
 def test_prefix_slice_of_longest_scorer_matches_fresh_scorer():
@@ -432,7 +436,7 @@ def test_distractors_match_dense_field_formula():
             ev[:, 0] = 1.0 - parent._y_list
             want = ev.copy()
             _dense_distractors(want, scorer)
-            scorer._apply_distractors(ev)
+            scorer._apply_distractors(ev, np.arange(m))
             assert ev.tobytes() == want.tobytes(), (m, utt.uid)
             z = rng.normal_field(rng.stream_key(spec.seed, "qphr", utt.uid),
                                  parent_build.grid_index(utt.n_steps, m))

@@ -6,6 +6,15 @@ from ctxbias import smoothing
 from ctxbias.smoothing import SmoothingParams
 
 
+def test_params_validation():
+    with pytest.raises(ValueError, match="omega must lie in"):
+        SmoothingParams(omega=1.5)
+    for value in (True, np.True_, "0.5", None):
+        with pytest.raises(ValueError, match="omega must be a real number"):
+            SmoothingParams(omega=value)
+    assert SmoothingParams(omega=1).omega == 1
+
+
 def test_triangular_preserves_constants():
     p = SmoothingParams(omega=0.6)
     q = np.full(7, 0.37)
