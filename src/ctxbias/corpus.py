@@ -328,13 +328,6 @@ class PhiMask:
         heads = first.nonzero()[0]
         return token_of[heads], heads, phrases
 
-    @cached_property
-    def dense(self) -> np.ndarray:
-        """The mask as a read-only float64 matrix, for products with scores."""
-        dense = self.matrix.astype(float)
-        dense.flags.writeable = False
-        return dense
-
     @property
     def row_sizes(self) -> np.ndarray:
         """The number of distinct tokens in each phrase, read-only."""

@@ -43,6 +43,7 @@ import numpy as np
 from ..corpus import BiasingList, PhiMask, Utterance, Vocabulary, build_phi, validate_spans
 from ..jointdecode import attention_decode, count_phrases, decode_utterance, greedy_decode
 from ..metrics import MetricsReport, cer, phrase_prf, retention_rate, rtf
+from ..numeric import check_int
 # purified cells decode through the full list's indexes; restrict_phi stays
 # importable here only because perfbench's tracer wraps it
 from ..purify import gcp, ocp, restrict_phi  # noqa: F401
@@ -220,6 +221,7 @@ def run_sweep(
     workers: int = 1,
     keep_outcomes: bool = False,
 ) -> dict[tuple[str, int, int], CellResult]:
+    check_int("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if corpus is None:

@@ -227,14 +227,21 @@ def attention_decode(bundle, biasing_list: BiasingList, phi: PhiMask) -> DecodeR
     Instead of max-intersecting smoothed correlations, this normalizes the
     raw phrase scores into attention weights, sums the containment rows
     under them, and interpolates with the raw (unsmoothed) list correlation.
-    Kept only as a baseline for trend comparisons.
+    The sum runs over the mask's nonzeros grouped by token, the index
+    ``joint_intersection`` takes its maxima over: per (step, token) the
+    first containing phrase's weight plus numpy's pairwise sum of the rest,
+    in ascending phrase order; tokens in no phrase get 0. Kept only as a
+    baseline for trend comparisons.
     """
     bundle = _entry(bundle, biasing_list, phi)
     if biasing_list.size <= 1:
         return _backbone_only(bundle)
     totals = np.maximum(bundle.q_phr.sum(axis=1, keepdims=True), 1e-12)
     weights = bundle.q_phr / totals
-    mix = weights @ phi.dense
+    tokens, starts, phrases = phi.by_token
+    mix = np.zeros(bundle.q_tok.shape)
+    if tokens.size:
+        mix[:, tokens] = np.add.reduceat(weights.take(phrases, axis=1), starts, axis=1)
     mix *= bundle.q_tok
     q_attn = softmax(mix, axis=1)
     return _guarded_decode(bundle, biasing_list, q_attn, bundle.q_list)

@@ -74,12 +74,9 @@ PHRASE_JITTER_FLOOR = 6e-3
 TOKEN_JITTER_GAIN = 0.5
 
 # phrase columns are drawn on first read (SyntheticScorer._fill). A draw
-# costs some tens of microseconds besides its cells, about what 2000 cells
-# of the grid cost: so a grid smaller than LAZY_MIN_CELLS (M=51 at any U the
-# corpus makes, not M=201) is drawn whole at its first read, and a request
-# for at least DRAW_REST_SHARE of the columns still undrawn draws them all,
-# since the few it would skip do not pay for another draw
-LAZY_MIN_CELLS = 2000
+# costs some tens of microseconds besides its cells, so a request for at
+# least DRAW_REST_SHARE of the columns still undrawn draws them all, since
+# the few it would skip do not pay for another draw
 DRAW_REST_SHARE = 0.5
 
 # every normal draw lies within sqrt(-2 log 2**-53) < 8.6 of 0, and exp is
@@ -355,12 +352,12 @@ class SyntheticScorer:
         """Draw the undrawn columns of ``members``, and the no-bias column
         with the first draw, since every bundle reads it. A prefix bundle
         (an unpurified decode reads one, and a sweep reads every prefix in
-        turn), a small grid, or a request for at least DRAW_REST_SHARE of
-        the undrawn columns draws every undrawn column instead. The draw's
-        seconds are added to ``draw_seconds``."""
+        turn) or a request for at least DRAW_REST_SHARE of the undrawn
+        columns draws every undrawn column instead. The draw's seconds are
+        added to ``draw_seconds``."""
         t0 = time.perf_counter()
         cols = None
-        if not (prefix or self._u * self._m < LAZY_MIN_CELLS):
+        if not prefix:
             want = np.zeros(self._m, dtype=bool)
             want[members] = True
             want[0] = True

@@ -3,8 +3,11 @@ rewrite, kept verbatim as the bit-level oracle for ``ctxbias.numeric``,
 ``ctxbias.smoothing`` and ``ctxbias.jointdecode``.
 
 Only what that rewrite left alone comes from the package: the bundle entry
-check, the count guard, ``DecodeResult`` and ``SmoothingParams``. Not a test
-module: the tests import it.
+check, the count guard, ``DecodeResult`` and ``SmoothingParams``. One stage
+is not verbatim: attention's weighted sum of the containment rows is
+spelled out per (step, token) in the package's summation order
+(``_attention_mix``), since the product it once was gives bits that depend
+on the BLAS thread count. Not a test module: the tests import it.
 """
 
 from __future__ import annotations
@@ -180,6 +183,24 @@ def decode_utterance(
     return _guarded_decode(bundle, biasing_list, q_bias, q_slist, q_sphr)
 
 
+def _attention_mix(weights: np.ndarray, phi: PhiMask) -> np.ndarray:
+    """The attention-weighted sum of the containment rows, one (step, token)
+    at a time. Not the product ``weights @ phi`` the stage once computed,
+    whose bits follow the BLAS library and its thread count, but the sum in
+    the order the package adds: the weight of the first phrase containing
+    the token, plus ``np.add.reduce`` (numpy's pairwise sum) of the weights
+    of the other phrases containing it, ascending by phrase index. A token
+    in no phrase gets 0."""
+    u, v = weights.shape[0], phi.matrix.shape[1]
+    mix = np.zeros((u, v))
+    for token in range(v):
+        rows = np.flatnonzero(phi.matrix[:, token])
+        if rows.size:
+            for step in range(u):
+                mix[step, token] = weights[step, rows[0]] + np.add.reduce(weights[step, rows[1:]])
+    return mix
+
+
 def attention_decode(bundle, biasing_list: BiasingList, phi: PhiMask) -> DecodeResult:
     """Comparison stub: plain attention-weighted-sum biasing.
 
@@ -193,6 +214,6 @@ def attention_decode(bundle, biasing_list: BiasingList, phi: PhiMask) -> DecodeR
         return _backbone_only(bundle)
     totals = np.maximum(bundle.q_phr.sum(axis=1, keepdims=True), 1e-12)
     weights = bundle.q_phr / totals
-    mix = weights @ phi.dense
+    mix = _attention_mix(weights, phi)
     q_attn = softmax(mix * bundle.q_tok, axis=1)
     return _guarded_decode(bundle, biasing_list, q_attn, bundle.q_list)

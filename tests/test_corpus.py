@@ -150,12 +150,6 @@ def test_phi_mask_caches_equal_their_obvious_builds():
             phi = corpus.PhiMask(matrix=matrix)
             for got, want in zip(phi.by_token, _by_token_oracle(matrix)):
                 assert got.dtype == want.dtype and np.array_equal(got, want), (m, v, density)
-            # the float form attention multiplies by, cached and read-only
-            assert phi.dense.dtype == np.float64
-            assert np.array_equal(phi.dense, matrix.astype(float))
-            assert phi.dense is phi.dense
-            with pytest.raises(ValueError, match="read-only"):
-                phi.dense[...] = 0.0
             assert np.array_equal(phi.row_sizes, matrix.sum(axis=1))
             with pytest.raises(ValueError, match="read-only"):
                 phi.row_sizes[...] = 0

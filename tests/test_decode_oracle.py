@@ -137,6 +137,37 @@ def test_decoders_match_the_parent_stages_on_purified_sublists(corp, lists, meth
                            purify.restrict_phi(phi, kept))
 
 
+def test_attention_decodes_as_the_blas_product_on_the_acceptance_noise():
+    """The sum over the mask's nonzeros and the product with the float mask
+    (the form attention once computed, whose last bits follow the BLAS
+    thread count) give the same hypotheses: every utterance of the
+    acceptance noise's corpus, two sweep seeds, every M, scorers built
+    against the longest list as the sweep builds them."""
+    config = ExperimentConfig(confusion_rate=0.3, distractor_boost=0.3, score_jitter_sigma=0.1,
+                              n_seeds=2)
+    corp = generate_corpus(config)
+    longest = corp.lists[max(config.list_lengths)]
+    lists = {m: (corp.lists[m], corpus.build_phi(corp.lists[m], corp.vocabulary))
+             for m in config.list_lengths}
+    largest = 0.0
+    for seed in config.sweep_seeds:
+        for utt in corp.utterances:
+            scorer = simulate.SyntheticScorer(utt, longest, corp.vocabulary,
+                                              config.noise_for(seed))
+            for m, (bl, phi) in lists.items():
+                bundle = scorer.bundle(np.arange(m))
+                got = jointdecode.attention_decode(bundle, bl, phi)
+                weights = bundle.q_phr / np.maximum(bundle.q_phr.sum(axis=1, keepdims=True),
+                                                    1e-12)
+                mix = weights @ phi.matrix.astype(float)
+                q_attn = softmax(mix * bundle.q_tok, axis=1)
+                want = jointdecode._guarded_decode(bundle, bl, q_attn, bundle.q_list)
+                assert got.hyp_casr == want.hyp_casr, (utt.uid, seed, m)
+                assert got.hyp_final == want.hyp_final, (utt.uid, seed, m)
+                largest = max(largest, float(np.abs(got.q_bias - want.q_bias).max()))
+    assert largest < 1e-15
+
+
 def _assert_guard_counts(res, bl):
     """The guard's counts are those of the brute-force scan."""
     assert res.count_bb == len(_brute_force_scan(res.hyp_bb, bl))

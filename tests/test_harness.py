@@ -445,11 +445,14 @@ def test_sweep_workers_match_serial():
         ]
 
 
-def test_spawned_worker_attention_decode_matches_in_process_at_m1196():
-    # at M=1196 the bits of attention_decode's weights @ phi can depend on
-    # the BLAS thread count (on a 2-core host, for 2 of these 6 bundles),
-    # which M=51/201 above do not show: workers started as run_sweep starts
-    # them must give the in-process q_bias bit for bit
+def test_spawned_worker_attention_decode_matches_in_process_at_m1196(monkeypatch):
+    # the decode core makes no BLAS call, so no output may depend on the
+    # BLAS thread count: a worker started as run_sweep starts them, with one
+    # BLAS thread, must give the q_bias of this process, which keeps its
+    # default threads, bit for bit. M=1196 is the width where a product with
+    # the float mask gave different bits under one and two threads (for 2 of
+    # these 6 bundles on a 2-core host)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     cfg = config.ExperimentConfig(n_utterances=6, list_lengths=(1196,), confusion_rate=0.3,
                                   distractor_boost=0.3, score_jitter_sigma=0.1)
     corp = corpusgen.generate_corpus(cfg)
@@ -767,6 +770,17 @@ def test_sweep_rejects_workers_below_one(workers):
     cfg = _small_config(n_utterances=4)
     with pytest.raises(ValueError, match="workers"):
         runner.run_sweep(cfg, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [True, 1.0, 2.5, "2"])
+def test_sweep_rejects_workers_that_are_no_integer(workers, monkeypatch):
+    # checked where it enters, before the corpus is generated: True and 1.0
+    # would run serially, 2.5 and "2" fail later without naming workers
+    generated = []
+    monkeypatch.setattr(runner, "generate_corpus", lambda cfg: generated.append(cfg))
+    with pytest.raises(ValueError, match="workers must be an integer"):
+        runner.run_sweep(_small_config(n_utterances=4), workers=workers)
+    assert generated == []
 
 
 # ---------------------------------------------------------------- report

@@ -279,6 +279,11 @@ def test_attention_stub_decodes_clean_input():
     assert res.hyp_bb == utt.tokens
     assert res.hyp_final == utt.tokens
     assert np.allclose(res.q_bias.sum(axis=1), 1.0, atol=1e-9)
+    # a mask with no nonzeros sums nothing: q_bias is uniform, as the
+    # product with an all-zero mask gave
+    empty = corpus.PhiMask(matrix=np.zeros_like(phi.matrix))
+    res = jointdecode.attention_decode(bundle, bl, empty)
+    assert np.array_equal(res.q_bias, np.full_like(res.q_bias, 1.0 / v.size))
 
 
 def test_decode_results_carry_the_guard_counts():

@@ -180,9 +180,9 @@ def test_scorer_drawing_on_first_read_answers_as_the_eager_build(spec_name, corp
     M = 1196: phrase scores of random members in random order with repeats,
     then every prefix bundle; the prefix ladder 51 -> 201 -> 601 -> 1196 by
     ``q_phr_for`` on a fresh scorer (partial draws, then the rest); and the
-    kept bundles after ``gcp`` and ``ocp`` on a small grid (M = 51, drawn
-    whole), on a short list of the longest scorer (as a sweep reads it) and
-    on the longest list."""
+    kept bundles after ``gcp`` and ``ocp`` on a short grid (M = 51, whose
+    one group asks for every column), on a short list of the longest scorer
+    (as a sweep reads it) and on the longest list."""
     spec, vocab = SPECS[spec_name], corp.vocabulary
     longest = corp.lists[1196]
     phis = {m: corpus.build_phi(corp.lists[m], vocab) for m in (51, 1196)}
